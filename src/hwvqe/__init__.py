@@ -6,8 +6,6 @@ Subpackages: statevector simulation (`qsim`), Dicke-state circuit construction
 CVaR optimization (`vqe`), and the batch CLI (`cli`).
 """
 
-from ._backend import BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

@@ -19,18 +19,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, NoReturn, Optional, Sequence
+from typing import Any, Callable, NoReturn, Optional, Sequence
 
 import numpy as np
 
 from . import __version__, locate, vqe
 from .ansatz import build_for, circuit_to_text
 from .partition import (
+    FragmentPreparer,
     SubAnsatzId,
     bitstrings_of_weight,
     child_count,
@@ -58,17 +60,44 @@ from .problem import (
 
 __all__ = ["main", "RunConfig", "ConfigError", "load_config"]
 
+MAX_PACKED_QUBITS = 62  # basis states are bit patterns packed into int64
+
 
 class ConfigError(ValueError):
     """Configuration failure carrying a file/line-qualified message."""
 
 
-def _line_of(raw: str, key: str) -> Optional[int]:
-    needle = f'"{key}"'
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if needle in line:
-            return lineno
-    return None
+# a JSON string (an object key when a colon follows), a bracket, a comma, or a newline
+_JSON_TOKEN = re.compile(r'(?P<string>"(?:[^"\\]|\\.)*")(?P<colon>\s*:)?|[{}\[\],\n]')
+
+
+def _line_of(raw: str, path: tuple[str, ...]) -> Optional[int]:
+    """Line of the object key at ``path`` (top-level key first) in a JSON text.
+
+    A key missing from the text falls back to its nearest enclosing key.
+    """
+    lines: dict[tuple, int] = {}
+    stack: list[Optional[str]] = []  # the key that opened each enclosing container
+    key: Optional[str] = None  # the key whose value comes next
+    lineno = 1
+    for m in _JSON_TOKEN.finditer(raw):
+        token = m.group()
+        if m.group("colon"):
+            key = json.loads(m.group("string"))
+            lines.setdefault((*stack[1:], key), lineno)
+            lineno += token.count("\n")
+        elif token in ("{", "["):
+            stack.append(key)
+            key = None
+        elif token in ("}", "]"):
+            stack.pop()
+        elif token == ",":
+            key = None
+        elif token == "\n":
+            lineno += 1
+    while path and path not in lines:
+        path = path[:-1]
+    return lines.get(path)
 
 
 @dataclass
@@ -90,8 +119,9 @@ class RunConfig:
     source_path: str = "<config>"
     raw_text: str = ""
 
-    def fail(self, key: str, message: str) -> NoReturn:
-        lineno = _line_of(self.raw_text, key)
+    def fail(self, key: str | tuple[str, ...], message: str) -> NoReturn:
+        """Raise a ConfigError at the line of a top-level key or of a key path."""
+        lineno = _line_of(self.raw_text, (key,) if isinstance(key, str) else key)
         where = f"{self.source_path}:{lineno}" if lineno else self.source_path
         raise ConfigError(f"{where}: {message}")
 
@@ -169,18 +199,46 @@ def load_config(path: str | Path) -> RunConfig:
     return cfg
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_positive_int(value: Any) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _is_fraction(value: Any) -> bool:
+    return _is_real(value) and 0.0 < value <= 1.0
+
+
+def _is_array_of(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, list) and bool(value) and all(test(v) for v in value)
+
+
 def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
+    """Check every value's type and range before anything converts it."""
     for key in doc:
         if key not in _KNOWN_KEYS:
             cfg.fail(key, f"unknown key {key!r}")
     for section in ("problem", "cvar", "schedule", "curves", "study"):
         if not isinstance(getattr(cfg, section), dict):
             cfg.fail(section, f"{section} section must be an object")
+
+    def expect(path: tuple[str, ...], test: Callable[[Any], bool], what: str) -> None:
+        """Fail at the key unless its value, when present, passes ``test``."""
+        within = doc if len(path) == 1 else getattr(cfg, path[0])
+        if path[-1] in within and not test(within[path[-1]]):
+            cfg.fail(path, f"{' '.join(path)} must be {what}, got {within[path[-1]]!r}")
+
     if "kind" not in cfg.problem:
         cfg.fail("problem", "problem section must be an object with a 'kind'")
     kind = cfg.problem["kind"]
     if kind not in _PROBLEM_KINDS:
-        cfg.fail("kind", f"problem kind {kind!r} not one of {_PROBLEM_KINDS}")
+        cfg.fail(("problem", "kind"), f"problem kind {kind!r} not one of {_PROBLEM_KINDS}")
     needed = {
         "synth-portfolio": ["n", "seed"],
         "csv-portfolio": ["path"],
@@ -191,55 +249,52 @@ def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
     for field_name in needed:
         if field_name not in cfg.problem:
             cfg.fail("problem", f"problem kind {kind!r} requires field {field_name!r}")
+    for name in ("n", "seed", "budget", "seed_graph", "seed_weights"):
+        expect(("problem", name), _is_int, "an integer")
+    for name in ("q", "p_edge", "offset"):
+        expect(("problem", name), _is_real, "a number")
+    expect(("problem", "path"), lambda v: isinstance(v, str), "a path string")
+
     if cfg.mode not in ("soft", "hard"):
         cfg.fail("mode", f"mode {cfg.mode!r} not one of ('soft', 'hard')")
+    expect(("depth",), _is_int, "an integer")
     if cfg.mode == "hard" and cfg.depth < 1:
         cfg.fail("depth", f"hard mode requires depth >= 1, got {cfg.depth}")
     if cfg.reorder not in ("auto", "none", "by-return", "by-variance"):
         cfg.fail("reorder", f"reorder {cfg.reorder!r} invalid")
-    if cfg.theta0_pi is not None and not 0.0 < float(cfg.theta0_pi) < 1.0:
-        cfg.fail("theta0_pi", f"theta0_pi {cfg.theta0_pi} outside (0, 1) — it scales pi")
+    expect(("theta0_pi",), lambda v: v is None or (_is_real(v) and 0.0 < v < 1.0),
+           "a number in (0, 1) — it scales pi")
+    expect(("cap",), _is_positive_int, "a positive integer")
+    expect(("seed",), lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+    expect(("out",), lambda v: v is None or isinstance(v, str), "a path string")
+
     sched = cfg.schedule
     if sched:
         for k in ("counts", "epochs", "rho_pi"):
             if k not in sched:
                 cfg.fail("schedule", f"schedule requires {k!r}")
+        expect(("schedule", "counts"), _is_array_of(_is_positive_int), "a non-empty array of positive integers")
+        expect(("schedule", "epochs"), _is_array_of(_is_positive_int), "a non-empty array of positive integers")
+        expect(("schedule", "rho_pi"), _is_array_of(lambda v: _is_real(v) and v > 0),
+               "a non-empty array of positive numbers")
         lens = {k: len(sched[k]) for k in ("counts", "epochs", "rho_pi")}
         if len(set(lens.values())) != 1:
             cfg.fail("schedule", f"schedule arrays differ in length: {lens}")
+        if any(b > a for a, b in zip(sched["counts"], sched["counts"][1:])):
+            cfg.fail(("schedule", "counts"), f"schedule counts must be non-increasing: {sched['counts']}")
+
     cv = cfg.cvar
     for k in ("alpha_start", "alpha_cap"):
-        if k in cv and not 0.0 < float(cv[k]) <= 1.0:
-            cfg.fail(k, f"{k} {cv[k]} outside (0, 1]")
-    if "alpha_start" in cv and "alpha_cap" in cv and float(cv["alpha_start"]) > float(cv["alpha_cap"]):
-        cfg.fail("alpha_start", "alpha_start exceeds alpha_cap")
-    if "shots" in cv and int(cv["shots"]) < 1:
-        cfg.fail("shots", "shots must be >= 1")
+        expect(("cvar", k), _is_fraction, "a number in (0, 1]")
+    if "alpha_start" in cv and "alpha_cap" in cv and cv["alpha_start"] > cv["alpha_cap"]:
+        cfg.fail(("cvar", "alpha_start"), "alpha_start exceeds alpha_cap")
+    expect(("cvar", "shots"), _is_positive_int, "a positive integer")
 
-    def positive_int(section: str, key: str, hint: str = "") -> None:
-        value = getattr(cfg, section).get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
-            cfg.fail(key, f"{section} {key} must be a positive integer{hint}, got {value!r}")
-
-    st = cfg.study
-    if "alphas" in st:
-        if not isinstance(st["alphas"], list) or not st["alphas"]:
-            cfg.fail("alphas", "study alphas must be a non-empty array")
-        for a in st["alphas"]:
-            if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0.0 < a <= 1.0:
-                cfg.fail("alphas", f"study alpha {a!r} outside (0, 1]")
-    if "betas" in st:
-        if not isinstance(st["betas"], list) or not st["betas"]:
-            cfg.fail("betas", "study betas must be a non-empty array")
-        for b in st["betas"]:
-            if isinstance(b, bool) or not isinstance(b, int) or b < 1:
-                cfg.fail("betas", f"study beta {b!r} must be a positive integer")
-    positive_int("study", "seeds", " (a count of consecutive seeds, not a list)")
-    positive_int("study", "epochs")
-    positive_int("study", "shots")
-    positive_int("curves", "points")
-    if int(cfg.cap) < 1:
-        cfg.fail("cap", "cap must be >= 1")
+    expect(("study", "alphas"), _is_array_of(_is_fraction), "a non-empty array of numbers in (0, 1]")
+    expect(("study", "betas"), _is_array_of(_is_positive_int), "a non-empty array of positive integers")
+    expect(("study", "seeds"), _is_positive_int, "a positive integer (a count of consecutive seeds, not a list)")
+    for path in (("study", "epochs"), ("study", "shots"), ("curves", "points")):
+        expect(path, _is_positive_int, "a positive integer")
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +302,12 @@ def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_problem(cfg: RunConfig):
-    """Instantiate the configured problem and apply the reordering policy."""
+def build_problem(cfg: RunConfig, packed: bool = True):
+    """Instantiate the configured problem and apply the reordering policy.
+
+    With ``packed`` (every subcommand but ``gen-data``), a problem wider than
+    the int64 bit packing of basis states allows is a config error.
+    """
     spec = cfg.problem
     kind = spec["kind"]
     if kind == "synth-portfolio":
@@ -277,6 +336,11 @@ def build_problem(cfg: RunConfig):
         )
     else:
         prob = load_graph(spec["path"])
+    if packed and prob.n > MAX_PACKED_QUBITS:
+        cfg.fail(
+            ("problem", "n"),
+            f"{prob.n} qubits exceed the {MAX_PACKED_QUBITS}-qubit limit of int64 bit packing",
+        )
 
     if cfg.reorder == "none":
         return prob
@@ -285,7 +349,7 @@ def build_problem(cfg: RunConfig):
         prob, _ = reorder(prob, mode)
     elif isinstance(prob, BisectionProblem):
         if cfg.reorder in ("by-return", "by-variance"):
-            raise ConfigError(f"{cfg.source_path}: reorder {cfg.reorder!r} applies to portfolios only")
+            cfg.fail("reorder", f"reorder {cfg.reorder!r} applies to portfolios only")
         prob, _ = reorder_bisection(prob)
     return prob
 
@@ -385,9 +449,10 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     if cfg.mode == "soft":
         if spec.n % 2:
             if theta0 is None:
-                raise ConfigError(
-                    f"{cfg.source_path}: soft mode on an odd {spec.n}-qubit search space "
-                    "cannot interpolate; set theta0_pi explicitly"
+                cfg.fail(
+                    "mode",
+                    f"soft mode on an odd {spec.n}-qubit search space "
+                    "cannot interpolate; set theta0_pi explicitly",
                 )
             notes.append(f"location skipped: odd search width {spec.n}, theta0 from config")
             flags["locate_skipped"] = True
@@ -400,9 +465,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
                 theta0 = vqe.close_to_solution_theta(spec, target)
     else:
         if spec.n % (1 << cfg.depth):
-            raise ConfigError(
-                f"{cfg.source_path}: depth {cfg.depth} needs n divisible by {1 << cfg.depth}, got {spec.n}"
-            )
+            cfg.fail("depth", f"depth {cfg.depth} needs n divisible by {1 << cfg.depth}, got {spec.n}")
         report = locate.locate_hard(search, spec, p=cfg.depth, cap=cfg.cap, seed=cfg.seed)
         target_id = report.predicted
         if theta0 is None:
@@ -416,20 +479,16 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         flags.update(report.flags)
         _write_json(out / "locate.json", report.to_json_dict(), cfg)
 
-    if cfg.mode == "soft":
-        slots = build_for(spec).num_params
-    else:
-        slots = sum(build_for(f).num_params for f in target_id.fragments() if 0 < f.k < f.n)
-        if slots == 0:
-            notes.append("located cell is a single basis state; optimization skipped")
+    prepared = target_id if cfg.mode == "hard" else SubAnsatzId(spec, ())
+    slots = FragmentPreparer(prepared).num_params
+    if slots == 0:
+        notes.append("located cell is a single basis state; optimization skipped")
     schedule = _schedule_from(cfg, max(slots, 1))
     cvar_cfg = _cvar_from(cfg, len(schedule))
 
     if slots == 0:
         if report.candidate_bits is None:
-            raise ConfigError(
-                f"{cfg.source_path}: every probed cell exceeded cap {cfg.cap}; raise 'cap'"
-            )
+            cfg.fail("cap", f"every probed cell exceeded cap {cfg.cap}; raise 'cap'")
         best_bits, best_energy = report.candidate_bits, report.candidate_energy
         rows: list[vqe.TraceRow] = []
     else:
@@ -544,7 +603,7 @@ def cmd_interpolate(cfg: RunConfig, args) -> int:
     search = _search_view(prob)
     spec = dicke_spec_for(search)
     if spec.n % 2:
-        raise ConfigError(f"{cfg.source_path}: interpolation needs an even width, got {spec.n}")
+        cfg.fail(("problem", "n"), f"interpolation needs an even width, got {spec.n}")
     cost = batch_evaluator(search)
     extent = child_count(spec)
     sampled: dict[int, float] = {}
@@ -555,9 +614,7 @@ def cmd_interpolate(cfg: RunConfig, args) -> int:
         _, energy = locate.subspace_min(sa, cost, cap=cfg.cap)
         sampled[t] = energy
     if len(sampled) < 3:
-        raise ConfigError(
-            f"{cfg.source_path}: only {len(sampled)} outer cells fit under cap {cfg.cap}; raise 'cap'"
-        )
+        cfg.fail("cap", f"only {len(sampled)} outer cells fit under cap {cfg.cap}; raise 'cap'")
     curve = locate.interpolate_convex(sorted(sampled.items()))
 
     true_line: dict[int, float] = {}
@@ -677,9 +734,7 @@ def cmd_bruteforce(cfg: RunConfig, args) -> int:
     spec = dicke_spec_for(search)
     count = math.comb(spec.n, spec.k)
     if count > cfg.cap:
-        raise ConfigError(
-            f"{cfg.source_path}: brute force over {count} states exceeds cap {cfg.cap}"
-        )
+        cfg.fail("cap", f"brute force over {count} states exceeds cap {cfg.cap}")
     cost = batch_evaluator(search)
     states = bitstrings_of_weight(spec.n, spec.k).astype(np.int64)
     energies = cost(states)
@@ -702,7 +757,7 @@ def cmd_bruteforce(cfg: RunConfig, args) -> int:
 def cmd_gen_data(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
-    prob = build_problem(RunConfig(**{**cfg.__dict__, "reorder": "none"}))
+    prob = build_problem(RunConfig(**{**cfg.__dict__, "reorder": "none"}), packed=False)
     if isinstance(prob, PortfolioProblem):
         save_portfolio(prob, out / "portfolio.json")
         written = [out / "portfolio.json"]

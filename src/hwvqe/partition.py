@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "subansatz_basis_count",
     "enumerate_subansatz",
     "enumerate_subansatz_arrays",
+    "FragmentPreparer",
     "run_subansatz",
     "entanglement_entropy",
     "loose_bound_product",
@@ -303,44 +305,93 @@ def enumerate_subansatz_arrays(sa: SubAnsatzId, chunk: int = 1 << 20) -> Iterato
         yield np.concatenate(buf)
 
 
+class FragmentPreparer:
+    """One sub-ansatz prepared as a product of independently simulated fragments.
+
+    Each fragment's circuit is built once. Fragments of weight 0 or full weight
+    are fixed bit blocks and take no parameters. The full-width ansatz is the
+    depth-0 case ``SubAnsatzId(spec, ())``: a single fragment, the spec itself.
+    """
+
+    def __init__(self, sa: SubAnsatzId):
+        self.fragments = sa.fragments()
+        self.circuits = [None if f.k in (0, f.n) else build_for(f) for f in self.fragments]
+        self.num_params = sum(c.num_params for c in self.circuits if c is not None)
+        self._amplitudes: list[np.ndarray | None] = []
+
+    def split(self, params: Sequence[float]) -> list[np.ndarray]:
+        """Cut a flat parameter vector into per-fragment vectors, fragment 0 first."""
+        out, at = [], 0
+        for c in self.circuits:
+            width = 0 if c is None else c.num_params
+            out.append(np.asarray(params[at : at + width], dtype=np.float64))
+            at += width
+        return out
+
+    def sample(
+        self, params_per_fragment: Sequence[Sequence[float]], shots: int, rng: np.random.Generator
+    ) -> Counter:
+        """Simulate each parameterized fragment once and draw ``shots`` product outcomes.
+
+        The fragments' amplitudes are kept for :meth:`probability_of`. Returns
+        a Counter over full-width basis states.
+        """
+        if len(params_per_fragment) != len(self.fragments):
+            raise ValueError(
+                f"{len(params_per_fragment)} parameter vectors for {len(self.fragments)} fragments"
+            )
+        self._amplitudes = []
+        draws = np.zeros(shots, dtype=np.int64)
+        for f, circuit, params in zip(self.fragments, self.circuits, params_per_fragment):
+            if circuit is None:
+                if len(params) != 0:
+                    raise ValueError(f"fragment D^{f.n}_{f.k} takes no parameters")
+                amps = None
+                frag_draws = np.full(shots, (1 << f.n) - 1 if f.k == f.n else 0, dtype=np.int64)
+            else:
+                if len(params) != circuit.num_params:
+                    raise ValueError(
+                        f"fragment D^{f.n}_{f.k} needs {circuit.num_params} parameters, got {len(params)}"
+                    )
+                psi = qsim.simulate(circuit, params)
+                amps = psi.amplitudes
+                probs = np.abs(amps) ** 2
+                probs /= probs.sum()
+                frag_draws = rng.choice(psi.dim, size=shots, p=probs)
+            self._amplitudes.append(amps)
+            draws = (draws << f.n) | frag_draws
+        return Counter(int(b) for b in draws)
+
+    def probability_of(self, bits: int) -> float:
+        """Born probability of a full-width basis state in the last sampled product."""
+        prob = 1.0
+        shift = sum(f.n for f in self.fragments)
+        for f, amps in zip(self.fragments, self._amplitudes):
+            shift -= f.n
+            frag_bits = (bits >> shift) & ((1 << f.n) - 1)
+            if amps is None:
+                if frag_bits != ((1 << f.n) - 1 if f.k == f.n else 0):
+                    return 0.0
+                continue
+            prob *= float(np.abs(amps[frag_bits]) ** 2)
+        return prob
+
+
 def run_subansatz(
     sa: SubAnsatzId,
     params_per_fragment: Sequence[Sequence[float]],
     shots: int,
     seed: int | None = None,
     rng: np.random.Generator | None = None,
-):
-    """Sample the product state: each fragment simulated alone, outcomes concatenated.
+) -> Counter:
+    """Sample the product state once: each fragment simulated alone, outcomes concatenated.
 
     Fragments of weight 0 or full weight contribute fixed bits and expect an
     empty parameter vector. Returns a Counter over full-width basis states.
     """
-    from collections import Counter
-
-    frags = sa.fragments()
-    if len(params_per_fragment) != len(frags):
-        raise ValueError(f"{len(params_per_fragment)} parameter vectors for {len(frags)} fragments")
     if rng is None:
         rng = np.random.default_rng(seed)
-
-    draws = np.zeros(shots, dtype=np.int64)
-    for f, params in zip(frags, params_per_fragment):
-        if f.k == 0 or f.k == f.n:
-            if len(params) != 0:
-                raise ValueError(f"fragment D^{f.n}_{f.k} takes no parameters")
-            frag_draws = np.full(shots, (1 << f.n) - 1 if f.k == f.n else 0, dtype=np.int64)
-        else:
-            circuit = build_for(f)
-            if len(params) != circuit.num_params:
-                raise ValueError(
-                    f"fragment D^{f.n}_{f.k} needs {circuit.num_params} parameters, got {len(params)}"
-                )
-            psi = qsim.simulate(circuit, params)
-            probs = np.abs(psi.amplitudes) ** 2
-            probs /= probs.sum()
-            frag_draws = rng.choice(psi.dim, size=shots, p=probs)
-        draws = (draws << f.n) | frag_draws
-    return Counter(int(b) for b in draws)
+    return FragmentPreparer(sa).sample(params_per_fragment, shots, rng)
 
 
 def entanglement_entropy(a: complex, b: complex) -> float:

@@ -14,7 +14,9 @@ subspace of the pair::
     |10> -> sin(theta/2)|01> + cos(theta/2)|10>
 
 ``|00>`` and ``|11>`` are fixed, so the total Hamming weight of every basis
-state in the support is conserved.
+state in the support is conserved: amplitudes outside the starting weight
+sector stay exactly 0.0, and sampling never draws a state of another weight.
+The two in-place numpy kernels below are the whole engine.
 """
 
 from __future__ import annotations
@@ -22,14 +24,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._backend import BACKEND, apply_x as _kernel_x, apply_v_block as _kernel_v
-
 __all__ = [
-    "BACKEND",
     "MAX_QUBITS",
     "BasisState",
     "StateVector",
@@ -127,6 +126,23 @@ def init_basis(n: int, b: BasisLike) -> StateVector:
     return StateVector(n, amps)
 
 
+def _kernel_v(amps: np.ndarray, lower: int, c: float, s: float) -> None:
+    """Rotate the |01>/|10> subspace of the adjacent pair (lower+1, lower)."""
+    n_low = 1 << lower
+    view = amps.reshape(-1, 4, n_low)  # middle axis index = 2*bit(lower+1) + bit(lower)
+    a01 = view[:, 1, :].copy()
+    a10 = view[:, 2, :]
+    view[:, 1, :] = c * a01 + s * a10
+    view[:, 2, :] = -s * a01 + c * a10
+
+
+def _kernel_x(amps: np.ndarray, qubit: int) -> None:
+    """Flip one qubit: swap amplitudes of every index pair differing in it."""
+    n_low = 1 << qubit
+    view = amps.reshape(-1, 2, n_low)
+    view[:, :, :] = view[:, ::-1, :].copy()
+
+
 def _apply_v_inplace(amps: np.ndarray, lower: int, theta: float) -> None:
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
@@ -191,14 +207,12 @@ def sample(
     s: StateVector,
     shots: int,
     seed: Optional[int] = None,
-    postselect_hw: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> Counter:
     """Draw ``shots`` i.i.d. basis states from the Born distribution.
 
-    With ``postselect_hw`` set, draws of the wrong Hamming weight are discarded,
-    so the returned multiset may hold fewer than ``shots`` entries. Pass an
-    explicit ``rng`` to sample from a shared stream (``seed`` is ignored then).
+    Pass an explicit ``rng`` to sample from a shared stream (``seed`` is
+    ignored then).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -207,7 +221,4 @@ def sample(
     probs = np.abs(s.amplitudes) ** 2
     probs /= probs.sum()
     draws = rng.choice(s.dim, size=shots, p=probs)
-    counts = Counter(int(b) for b in draws)
-    if postselect_hw is not None:
-        counts = Counter({b: c for b, c in counts.items() if hamming_weight(b) == postselect_hw})
-    return counts
+    return Counter(int(b) for b in draws)

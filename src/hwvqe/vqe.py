@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import io
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,7 +25,7 @@ from scipy.optimize import minimize
 
 from . import qsim
 from .ansatz import DickeSpec, build_for
-from .partition import SubAnsatzId, run_subansatz
+from .partition import FragmentPreparer, SubAnsatzId, bitstrings_of_weight
 from .problem import batch_evaluator, dicke_spec_for
 from .qsim import hamming_weight_array
 
@@ -291,74 +290,9 @@ def _exact_ground_state(problem, spec: DickeSpec) -> Optional[int]:
     """Brute-force ground state over the weight-k set when small enough."""
     if spec.n > EXACT_PROBABILITY_LIMIT:
         return None
-    from .partition import bitstrings_of_weight
-
     states = bitstrings_of_weight(spec.n, spec.k).astype(np.int64)
     cost = batch_evaluator(problem)
     return int(states[np.argmin(cost(states))])
-
-
-class _SoftSampler:
-    """Full-ansatz preparation: simulate, then weight-post-selected sampling."""
-
-    def __init__(self, spec: DickeSpec):
-        self.spec = spec
-        self.circuit = build_for(spec)
-        self.num_params = self.circuit.num_params
-
-    def sample(self, params: np.ndarray, shots: int, rng: np.random.Generator) -> Counter:
-        psi = qsim.simulate(self.circuit, params)
-        self._last_psi = psi
-        return qsim.sample(psi, shots, rng=rng, postselect_hw=self.spec.k)
-
-    def gs_probability(self, gs_bits: int) -> float:
-        return float(np.abs(self._last_psi.amplitudes[gs_bits]) ** 2)
-
-
-class _HardSampler:
-    """Fragment-product preparation of one sub-ansatz; never builds n qubits."""
-
-    def __init__(self, sa: SubAnsatzId):
-        self.sa = sa
-        self.fragments = sa.fragments()
-        self.splits: list[int] = []
-        self.circuits = []
-        for f in self.fragments:
-            if f.k in (0, f.n):
-                self.circuits.append(None)
-                self.splits.append(0)
-            else:
-                c = build_for(f)
-                self.circuits.append(c)
-                self.splits.append(c.num_params)
-        self.num_params = sum(self.splits)
-
-    def _split(self, params: np.ndarray) -> list[np.ndarray]:
-        out, at = [], 0
-        for width in self.splits:
-            out.append(np.asarray(params[at : at + width], dtype=np.float64))
-            at += width
-        return out
-
-    def sample(self, params: np.ndarray, shots: int, rng: np.random.Generator) -> Counter:
-        per_fragment = self._split(params)
-        self._last_params = per_fragment
-        return run_subansatz(self.sa, per_fragment, shots, rng=rng)
-
-    def gs_probability(self, gs_bits: int) -> float:
-        prob = 1.0
-        shift = sum(f.n for f in self.fragments)
-        for f, params in zip(self.fragments, self._last_params):
-            shift -= f.n
-            frag_bits = (gs_bits >> shift) & ((1 << f.n) - 1)
-            if f.k in (0, f.n):
-                want = (1 << f.n) - 1 if f.k == f.n else 0
-                if frag_bits != want:
-                    return 0.0
-                continue
-            psi = qsim.simulate(build_for(f), params)
-            prob *= float(np.abs(psi.amplitudes[frag_bits]) ** 2)
-        return prob
 
 
 class _BudgetSpent(Exception):
@@ -378,9 +312,11 @@ def optimize(
 ) -> tuple[qsim.BasisState, float, list[TraceRow]]:
     """Staged CVaR minimization; returns the best sampled state and the trace.
 
-    Soft mode drives the full-width ansatz from an identical-angle start; hard
-    mode optimizes one sub-ansatz as independent fragments (the only
-    statevectors built are fragment-sized). Each stage contracts the previous
+    Both modes prepare a product of independently simulated fragments
+    (:class:`~hwvqe.partition.FragmentPreparer`): soft mode the depth-0
+    sub-ansatz ``SubAnsatzId(spec, ())``, i.e. the full-width ansatz as one
+    fragment; hard mode the located ``target``, so the only statevectors built
+    are fragment-sized. Each stage contracts the previous
     physical angles into the new grouping, runs the trust-region loop for its
     epoch budget, and expands its best evaluated point back.
 
@@ -404,25 +340,24 @@ def optimize(
         schedule = CorrelationSchedule(counts=(1,), epochs=(60,), rho=(0.15 * np.pi,))
 
     if mode == "soft":
-        sampler = _SoftSampler(spec)
-    elif mode == "hard":
-        if target is None:
-            raise ValueError("hard mode needs the located sub-ansatz id")
-        sampler = _HardSampler(target)
-    else:
+        target = SubAnsatzId(spec, ())
+    elif mode != "hard":
         raise ValueError(f"mode {mode!r} not one of ('soft', 'hard')")
-    if sampler.num_params == 0:
+    elif target is None:
+        raise ValueError("hard mode needs the located sub-ansatz id")
+    preparer = FragmentPreparer(target)
+    if preparer.num_params == 0:
         raise ValueError("nothing to optimize: the preparation has no parameters")
-    if max(schedule.counts) > sampler.num_params:
+    if max(schedule.counts) > preparer.num_params:
         raise ValueError(
-            f"group size {max(schedule.counts)} exceeds {sampler.num_params} parameter slots"
+            f"group size {max(schedule.counts)} exceeds {preparer.num_params} parameter slots"
         )
 
     cost = batch_evaluator(problem, cost_mode)
     rng = np.random.default_rng(seed)
     gs_bits = _exact_ground_state(problem, spec)
 
-    physical = np.full(sampler.num_params, float(theta0))
+    physical = np.full(preparer.num_params, float(theta0))
     rows: list[TraceRow] = []
     best_bits: Optional[int] = None
     best_energy = math.inf
@@ -439,8 +374,8 @@ def optimize(
             nonlocal epoch, best_bits, best_energy, best_x, best_f
             if epoch == stage_end:
                 raise _BudgetSpent
-            params = expand_params(logical, beta, sampler.num_params)
-            outcomes = sampler.sample(params, cvar_cfg.shots, rng)
+            params = expand_params(logical, beta, preparer.num_params)
+            outcomes = preparer.sample(preparer.split(params), cvar_cfg.shots, rng)
             states = np.fromiter(outcomes.keys(), dtype=np.int64, count=len(outcomes))
             multiplicity = np.fromiter(outcomes.values(), dtype=np.int64, count=len(outcomes))
             energies = cost(states)
@@ -456,7 +391,7 @@ def optimize(
             epoch += 1
             if expectation < best_f:
                 best_x, best_f = np.array(logical, dtype=np.float64), expectation
-            gs_prob = None if gs_bits is None else sampler.gs_probability(gs_bits)
+            gs_prob = None if gs_bits is None else preparer.probability_of(gs_bits)
             rows.append(
                 TraceRow(
                     iteration=stage + 1,
@@ -490,7 +425,7 @@ def optimize(
             # converged before the budget ran out: resume from the best point
             # at the radius the trust region shrank to
             x, rho = best_x, rho_end
-        physical = expand_params(best_x, beta, sampler.num_params)
+        physical = expand_params(best_x, beta, preparer.num_params)
 
     if best_bits is None:
         raise RuntimeError("optimization produced no samples")

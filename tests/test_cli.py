@@ -75,6 +75,21 @@ def test_invalid_json_reports_line(tmp_path, capsys):
         ({"study": {"alphas": [0.5, 1.5]}}, "alphas"),
         ({"study": {"betas": [1, "8"]}}, "betas"),
         ({"curves": {"points": 4.5}}, "points"),
+        # a graph problem holds no "seed" key, so the top-level one is the first
+        (
+            {
+                "seed": 1.5,
+                "problem": {"kind": "synth-graph", "n": 8, "p_edge": 0.5, "seed_graph": 1, "seed_weights": 2},
+            },
+            "seed",
+        ),
+        ({"cvar": {"alpha_start": [1]}}, "alpha_start"),
+        ({"mode": "hard", "depth": "2"}, "depth"),
+        ({"schedule": {"counts": 5, "epochs": [12, 16], "rho_pi": [0.15, 0.1]}}, "counts"),
+        ({"schedule": {"counts": [4, 1], "epochs": [1.5, 16], "rho_pi": [0.15, 0.1]}}, "epochs"),
+        ({"cvar": {"shots": "many"}}, "shots"),
+        ({"cap": "x"}, "cap"),
+        ({"theta0_pi": "a"}, "theta0_pi"),
     ],
 )
 def test_validation_errors_cite_the_offending_line(tmp_path, capsys, overrides, key):
@@ -89,6 +104,53 @@ def test_validation_errors_cite_the_offending_line(tmp_path, capsys, overrides, 
         if f'"{key}"' in line
     )
     assert f":{expected_line}:" in err
+
+
+@pytest.mark.parametrize(
+    "last_line, key",
+    [
+        ('  "seed": 1.5', "seed"),  # problem.seed comes first
+        ('  "study": {"shots": "x"}', "study shots"),  # cvar.shots comes first
+    ],
+    ids=["top-level-seed", "study-shots"],
+)
+def test_key_error_cites_the_line_of_its_own_key_path(tmp_path, capsys, last_line, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        "{\n"
+        '  "problem": {"kind": "synth-portfolio", "n": 8,\n'
+        '              "seed": 4, "budget": 4},\n'
+        '  "cvar": {"shots": 64},\n'
+        f"{last_line}\n"
+        "}\n"
+    )
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{path}:5: {key} must be" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "curves", "interpolate", "study", "bruteforce"])
+def test_width_beyond_int64_packing_is_a_config_error(tmp_path, capsys, command):
+    path = _write_config(
+        tmp_path,
+        problem={"kind": "synth-portfolio", "n": 64, "seed": 4, "budget": 32},
+        mode="hard",
+        depth=2,
+    )
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    n_line = path.read_text().splitlines().index('    "n": 64,') + 1
+    assert f"{path}:{n_line}:" in err
+    assert "62-qubit limit of int64 bit packing" in err
+
+
+def test_gen_data_writes_instances_beyond_int64_packing(tmp_path):
+    path = _write_config(tmp_path, problem={"kind": "synth-graph", "n": 64, "p_edge": 0.1,
+                                            "seed_graph": 1, "seed_weights": 2})
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "data")]) == 0
+    assert load_graph(tmp_path / "data" / "graph.txt").n == 64
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,10 @@ def test_optimize_hard_mode_stays_fragment_sized(monkeypatch):
         seed=0,
     )
     assert sizes and max(sizes) <= largest_fragment < p.n
+    # one simulation per parameterized fragment per evaluation: the ground-state
+    # probability column reads the sampled fragments' amplitudes
+    simulated = [f for f in report.predicted.fragments() if 0 < f.k < f.n]
+    assert len(sizes) == len(rows) * len(simulated)
 
     cost = batch_evaluator(p)
     states = np.concatenate(list(enumerate_subansatz_arrays(report.predicted)))
