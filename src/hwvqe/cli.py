@@ -22,7 +22,7 @@ import math
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, Sequence
@@ -41,16 +41,14 @@ from .partition import (
 )
 from .qsim import BasisState
 from .problem import (
-    BisectionProblem,
     PortfolioProblem,
-    ReducedBisection,
     batch_evaluator,
     dicke_spec_for,
     ingest_csv,
+    lift_bits,
     load_graph,
     load_portfolio,
     reorder,
-    reorder_bisection,
     save_graph,
     save_portfolio,
     synth_assets,
@@ -311,18 +309,9 @@ def build_problem(cfg: RunConfig, packed: bool = True):
     spec = cfg.problem
     kind = spec["kind"]
     if kind == "synth-portfolio":
-        prob = synth_assets(
-            int(spec["n"]),
-            int(spec["seed"]),
-            q=float(spec.get("q", 0.9)),
-            budget=int(spec["budget"]) if "budget" in spec else None,
-        )
+        prob = synth_assets(int(spec["n"]), int(spec["seed"]), q=float(spec.get("q", 0.9)))
     elif kind == "csv-portfolio":
-        prob = ingest_csv(
-            spec["path"],
-            q=float(spec.get("q", 0.9)),
-            budget=int(spec["budget"]) if "budget" in spec else None,
-        )
+        prob = ingest_csv(spec["path"], q=float(spec.get("q", 0.9)))
     elif kind == "portfolio-file":
         prob = load_portfolio(spec["path"])
     elif kind == "synth-graph":
@@ -341,34 +330,22 @@ def build_problem(cfg: RunConfig, packed: bool = True):
             ("problem", "n"),
             f"{prob.n} qubits exceed the {MAX_PACKED_QUBITS}-qubit limit of int64 bit packing",
         )
+    if isinstance(prob, PortfolioProblem):
+        # applied once the width is known, so that a bad budget cites its line
+        # (a portfolio file's budget is the file's own "xi")
+        budget = prob.budget if kind == "portfolio-file" else spec.get("budget", prob.budget)
+        if not 1 <= budget < prob.n:
+            key = "path" if kind == "portfolio-file" else "budget"
+            cfg.fail(("problem", key), f"portfolio budget {budget} outside 1..{prob.n - 1}")
+        prob = replace(prob, budget=budget)
 
     if cfg.reorder == "none":
         return prob
-    if isinstance(prob, PortfolioProblem):
-        mode = "by-return" if cfg.reorder == "auto" else cfg.reorder
-        prob, _ = reorder(prob, mode)
-    elif isinstance(prob, BisectionProblem):
-        if cfg.reorder in ("by-return", "by-variance"):
-            cfg.fail("reorder", f"reorder {cfg.reorder!r} applies to portfolios only")
-        prob, _ = reorder_bisection(prob)
+    try:
+        prob, _ = reorder(prob, cfg.reorder)
+    except ValueError as exc:
+        cfg.fail("reorder", str(exc))
     return prob
-
-
-def _search_view(prob):
-    """The problem as the search layers see it (pinned top bit folded away)."""
-    if isinstance(prob, BisectionProblem) and prob.fixed_top_bit:
-        return ReducedBisection(prob)
-    return prob
-
-
-def _lift_bits(prob, bits: int) -> int:
-    if isinstance(prob, BisectionProblem) and prob.fixed_top_bit:
-        return bits | (1 << (prob.n - 1))
-    return bits
-
-
-def _full_width(prob) -> int:
-    return prob.n
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +410,10 @@ def _cvar_from(cfg: RunConfig, iterations: int) -> vqe.CVaRConfig:
 
 def cmd_solve(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
+    # soft location may swap in a reversed copy of the problem: the reported
+    # bits use the index order of the copy it ends with
     prob = build_problem(cfg)
-    search = _search_view(prob)
-    # coord_prob is the instance whose index order the reported bits use;
-    # location may swap in a reversed copy, and the pinned-bit fold lifts back.
-    coord_prob = prob
-    spec = dicke_spec_for(search)
+    spec = dicke_spec_for(prob)
     flags: dict[str, bool] = {}
     notes: list[str] = []
 
@@ -457,16 +432,15 @@ def cmd_solve(cfg: RunConfig, args) -> int:
             notes.append(f"location skipped: odd search width {spec.n}, theta0 from config")
             flags["locate_skipped"] = True
         else:
-            report = locate.locate_soft(search, spec, cap=cfg.cap, seed=cfg.seed)
-            search = report.problem
-            coord_prob = search
+            report = locate.locate_soft(prob, spec, cap=cfg.cap, seed=cfg.seed)
+            prob = report.problem
             target = report.predicted.levels[0][0]
             if theta0 is None:
                 theta0 = vqe.close_to_solution_theta(spec, target)
     else:
         if spec.n % (1 << cfg.depth):
             cfg.fail("depth", f"depth {cfg.depth} needs n divisible by {1 << cfg.depth}, got {spec.n}")
-        report = locate.locate_hard(search, spec, p=cfg.depth, cap=cfg.cap, seed=cfg.seed)
+        report = locate.locate_hard(prob, spec, p=cfg.depth, cap=cfg.cap, seed=cfg.seed)
         target_id = report.predicted
         if theta0 is None:
             if spec.n <= vqe.EXACT_PROBABILITY_LIMIT:
@@ -493,7 +467,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         rows: list[vqe.TraceRow] = []
     else:
         best, best_energy, rows = vqe.optimize(
-            search,
+            prob,
             spec,
             mode=cfg.mode,
             target=target_id,
@@ -504,7 +478,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         )
         best_bits = best.bits
 
-    cost = batch_evaluator(search)
+    cost = batch_evaluator(prob)
     refined, refined_energy, trace = locate.greedy_bitstring(
         cost, BasisState(best_bits, spec.n), restarts=2, seed=cfg.seed
     )
@@ -517,7 +491,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         refined_energy = report.candidate_energy
         notes.append("location candidate beat the optimizer; kept the candidate")
 
-    solution_bits = _lift_bits(coord_prob, refined.bits)
+    solution_bits = lift_bits(prob, refined.bits)
     if cfg.mode == "hard" and report is not None and report.predicted is not None:
         flags["possible_misestimation"] = not locate._in_subansatz(refined.bits, report.predicted)
 
@@ -525,12 +499,12 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     _write_json(
         out / "solution.json",
         {
-            "problem": _problem_summary(coord_prob),
+            "problem": _problem_summary(prob),
             "search_spec": {"n": spec.n, "k": spec.k},
             "theta0_pi": theta0 / math.pi,
             "predicted": format_id(report.predicted) if report and report.predicted else None,
             "solution": {
-                "bits": format(solution_bits, f"0{_full_width(coord_prob)}b"),
+                "bits": format(solution_bits, f"0{prob.n}b"),
                 "energy": refined_energy,
                 "refinement_steps": max(0, len(trace) - 1),
             },
@@ -546,7 +520,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     if args.dump_circuit:
         _write_text(out / "circuit.txt", circuit_to_text(build_for(spec)) + "\n")
 
-    print(f"solution {format(solution_bits, f'0{_full_width(coord_prob)}b')} energy {refined_energy!r}")
+    print(f"solution {format(solution_bits, f'0{prob.n}b')} energy {refined_energy!r}")
     print(f"artifacts in {out}")
     approx = flags.get("budget_exhausted") or flags.get("candidate_over_cap")
     return 2 if approx else 0
@@ -573,7 +547,7 @@ def _problem_summary(prob) -> dict[str, Any]:
 def cmd_curves(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     prob = build_problem(cfg)
-    spec = dicke_spec_for(_search_view(prob))
+    spec = dicke_spec_for(prob)
     points = int(cfg.curves.get("points", 21))
     grid = np.linspace(0.0, math.pi, points)
     metrics = vqe.ratio_variance_curves(spec, grid)
@@ -600,32 +574,21 @@ def cmd_curves(cfg: RunConfig, args) -> int:
 def cmd_interpolate(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     prob = build_problem(cfg)
-    search = _search_view(prob)
-    spec = dicke_spec_for(search)
+    spec = dicke_spec_for(prob)
     if spec.n % 2:
         cfg.fail(("problem", "n"), f"interpolation needs an even width, got {spec.n}")
-    cost = batch_evaluator(search)
+    cost = batch_evaluator(prob)
     extent = child_count(spec)
-    sampled: dict[int, float] = {}
-    for t in locate.outer_indices(extent):
+    true_line: dict[int, float] = {}
+    for t in range(extent):
         sa = SubAnsatzId(spec, ((t,),))
-        if subansatz_basis_count(sa) > cfg.cap:
-            continue
-        _, energy = locate.subspace_min(sa, cost, cap=cfg.cap)
-        sampled[t] = energy
+        if subansatz_basis_count(sa) <= cfg.cap:
+            _, true_line[t] = locate.subspace_min(sa, cost, cap=cfg.cap)
+    capped = len(true_line) < extent
+    sampled = {t: true_line[t] for t in locate.outer_indices(extent) if t in true_line}
     if len(sampled) < 3:
         cfg.fail("cap", f"only {len(sampled)} outer cells fit under cap {cfg.cap}; raise 'cap'")
     curve = locate.interpolate_convex(sorted(sampled.items()))
-
-    true_line: dict[int, float] = {}
-    capped = False
-    for t in range(extent):
-        sa = SubAnsatzId(spec, ((t,),))
-        if subansatz_basis_count(sa) > cfg.cap:
-            capped = True
-            continue
-        _, energy = locate.subspace_min(sa, cost, cap=cfg.cap)
-        true_line[t] = energy
 
     lines = [_header_lines(cfg).rstrip("\n")]
     lines.append("index,sampled_energy,fit_energy,true_energy")
@@ -661,12 +624,11 @@ def _study_cell(payload: tuple) -> tuple[tuple[float, int], list[list[float]]]:
     cfg_doc, alpha, beta, seeds, epochs, shots, theta0 = payload
     cfg = RunConfig(**cfg_doc)
     prob = build_problem(cfg)
-    search = _search_view(prob)
-    spec = dicke_spec_for(search)
+    spec = dicke_spec_for(prob)
     traces = []
     for seed in seeds:
         _, _, rows = vqe.optimize(
-            search,
+            prob,
             spec,
             mode="soft",
             theta0=theta0,
@@ -681,8 +643,7 @@ def _study_cell(payload: tuple) -> tuple[tuple[float, int], list[list[float]]]:
 def cmd_study(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     prob = build_problem(cfg)
-    search = _search_view(prob)
-    spec = dicke_spec_for(search)
+    spec = dicke_spec_for(prob)
     slots = build_for(spec).num_params
     st = cfg.study
     alphas = [float(a) for a in st.get("alphas", (0.01, 0.05, 0.1, 0.2))]
@@ -730,27 +691,26 @@ def cmd_study(cfg: RunConfig, args) -> int:
 def cmd_bruteforce(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     prob = build_problem(cfg)
-    search = _search_view(prob)
-    spec = dicke_spec_for(search)
+    spec = dicke_spec_for(prob)
     count = math.comb(spec.n, spec.k)
     if count > cfg.cap:
         cfg.fail("cap", f"brute force over {count} states exceeds cap {cfg.cap}")
-    cost = batch_evaluator(search)
+    cost = batch_evaluator(prob)
     states = bitstrings_of_weight(spec.n, spec.k).astype(np.int64)
     energies = cost(states)
     pos = int(np.argmin(energies))
-    bits = _lift_bits(prob, int(states[pos]))
+    bits = lift_bits(prob, int(states[pos]))
     energy = float(energies[pos])
     _write_json(
         out / "bruteforce.json",
         {
             "problem": _problem_summary(prob),
             "states_evaluated": count,
-            "solution": {"bits": format(bits, f"0{_full_width(prob)}b"), "energy": energy},
+            "solution": {"bits": format(bits, f"0{prob.n}b"), "energy": energy},
         },
         cfg,
     )
-    print(f"minimum {format(bits, f'0{_full_width(prob)}b')} energy {energy!r}")
+    print(f"minimum {format(bits, f'0{prob.n}b')} energy {energy!r}")
     return 0
 
 
@@ -830,6 +790,9 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return 1
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -34,13 +34,7 @@ from .partition import (
     format_id,
     subansatz_basis_count,
 )
-from .problem import (
-    BisectionProblem,
-    PortfolioProblem,
-    batch_evaluator,
-    dicke_spec_for,
-    reverse_problem,
-)
+from .problem import batch_evaluator, dicke_spec_for, permute
 from .qsim import BasisState, hamming_weight
 
 __all__ = [
@@ -300,55 +294,27 @@ def _interpolate_axis(
 # ---------------------------------------------------------------------------
 
 
-def _resolve(problem, spec: Optional[DickeSpec], mode: str) -> tuple[DickeSpec, CostBatch]:
-    if spec is None:
-        spec = dicke_spec_for(problem)
-    return spec, batch_evaluator(problem, mode)
-
-
-def locate_soft(
-    problem,
-    spec: Optional[DickeSpec] = None,
-    mode: str = "full",
-    cap: int = DEFAULT_CAP,
-    refine: bool = False,
-    seed: Optional[int] = None,
-) -> LocateReport:
-    """One-level location: outer-4 minima, convex fit, left-quarter reversal.
-
-    When the fitted argmin lands at or below n/4 the problem's index order is
-    reversed (mirroring the curve into the right half) and the interpolation
-    is redone on the reversed instance; the report carries the problem that
-    was actually evaluated last.
-    """
-    spec, cost = _resolve(problem, spec, mode)
-    if spec.n % 2:
-        raise ValueError(f"soft location needs an even qubit count, got {spec.n}")
-    extent = child_count(spec)
-    indices = outer_indices(extent)
-
-    cache = _CellCache(cost, cap)
+def _level_one(
+    cache: _CellCache, spec: DickeSpec
+) -> tuple[int, Optional[EnergyCurve], dict[str, bool]]:
+    """Outer minima along the level-1 axis and the argmin of their convex fit."""
     cell_of = lambda i: SubAnsatzId(spec, ((i,),))
-    target, curve, flags = _interpolate_axis(cache, cell_of, indices)
-    curves = [] if curve is None else [curve]
-    discarded = 0
+    return _interpolate_axis(cache, cell_of, outer_indices(child_count(spec)))
 
-    can_reverse = isinstance(problem, (PortfolioProblem, BisectionProblem)) and not getattr(
-        problem, "fixed_top_bit", False
-    )
-    if target <= spec.n // 4 and can_reverse:
-        problem, _ = reverse_problem(problem)
-        _, cost = _resolve(problem, spec, mode)
-        discarded = cache.evaluations
-        cache = _CellCache(cost, cap)  # energies belong to the reversed instance
-        target, curve, flags = _interpolate_axis(cache, cell_of, indices)
-        if curve is not None:
-            curves.append(curve)
-        flags["reversal_applied"] = True
 
-    predicted = SubAnsatzId(spec, ((target,),))
+def _report(
+    problem,
+    spec: DickeSpec,
+    predicted: SubAnsatzId,
+    cache: _CellCache,
+    flags: dict[str, bool],
+    curves: list[EnergyCurve],
+    refine: bool,
+    seed: Optional[int],
+    discarded: int = 0,
+) -> LocateReport:
+    """The report of a finished location run, refined on request."""
     candidate_bits, candidate_energy = cache.best()
-
     report = LocateReport(
         spec=spec,
         predicted=predicted,
@@ -362,8 +328,44 @@ def locate_soft(
         evaluations=cache.evaluations + discarded,
     )
     if refine and candidate_bits is not None:
-        _refine_report(report, cost, seed)
+        _refine_report(report, cache.cost, seed)
     return report
+
+
+def locate_soft(
+    problem,
+    spec: Optional[DickeSpec] = None,
+    cap: int = DEFAULT_CAP,
+    refine: bool = False,
+    seed: Optional[int] = None,
+) -> LocateReport:
+    """One-level location: outer-4 minima, convex fit, left-quarter reversal.
+
+    When the fitted argmin lands at or below n/4 and no bit is pinned, the
+    problem's index order is reversed (mirroring the curve into the right
+    half) and the interpolation is redone on the reversed instance; the report
+    carries the problem that was actually evaluated last.
+    """
+    if spec is None:
+        spec = dicke_spec_for(problem)
+    if spec.n % 2:
+        raise ValueError(f"soft location needs an even qubit count, got {spec.n}")
+    cache = _CellCache(batch_evaluator(problem), cap)
+    target, curve, flags = _level_one(cache, spec)
+    curves = [] if curve is None else [curve]
+    discarded = 0
+
+    if target <= spec.n // 4 and dicke_spec_for(problem).n == problem.n:
+        problem, _ = permute(problem, np.arange(problem.n)[::-1])
+        discarded = cache.evaluations
+        cache = _CellCache(batch_evaluator(problem), cap)  # energies of the reversed instance
+        target, curve, flags = _level_one(cache, spec)
+        if curve is not None:
+            curves.append(curve)
+        flags["reversal_applied"] = True
+
+    predicted = SubAnsatzId(spec, ((target,),))
+    return _report(problem, spec, predicted, cache, flags, curves, refine, seed, discarded)
 
 
 def locate_hard(
@@ -371,7 +373,6 @@ def locate_hard(
     spec: Optional[DickeSpec] = None,
     p: int = 2,
     iters: Optional[int] = None,
-    mode: str = "full",
     cap: int = DEFAULT_CAP,
     refine: bool = False,
     seed: Optional[int] = None,
@@ -383,24 +384,16 @@ def locate_hard(
     and walked with a cruciform greedy from the diagonal argmin. The final
     cell is solved exactly and becomes the candidate.
     """
-    spec, cost = _resolve(problem, spec, mode)
+    if spec is None:
+        spec = dicke_spec_for(problem)
     if spec.n % (1 << p):
         raise ValueError(f"n={spec.n} does not support {p} recursive splits")
     if iters is None:
         iters = max(1, math.ceil(math.log2(spec.n)))
 
-    cache = _CellCache(cost, cap)
-    flags: dict[str, bool] = {}
-    curves: list[EnergyCurve] = []
-
-    # level 1
-    extent = child_count(spec)
-    target, curve, level_flags = _interpolate_axis(
-        cache, lambda i: SubAnsatzId(spec, ((i,),)), outer_indices(extent)
-    )
-    flags.update(level_flags)
-    if curve is not None:
-        curves.append(curve)
+    cache = _CellCache(batch_evaluator(problem), cap)
+    target, curve, flags = _level_one(cache, spec)
+    curves = [] if curve is None else [curve]
     current = SubAnsatzId(spec, ((target,),))
 
     # deeper levels: diagonal interpolation + cruciform walk of the child grid
@@ -426,26 +419,10 @@ def locate_hard(
         flags["budget_exhausted"] = flags.get("budget_exhausted", False) or exhausted
         current = current.child(best_cell)
 
-    bits, energy = cache.minimum(current)
+    bits, _ = cache.minimum(current)
     if bits is None:
         flags["candidate_over_cap"] = True
-    candidate_bits, candidate_energy = cache.best()
-
-    report = LocateReport(
-        spec=spec,
-        predicted=current,
-        candidate_bits=candidate_bits,
-        candidate_energy=candidate_energy,
-        trail=tuple(cache.trail),
-        refinements=(),
-        flags=flags,
-        curves=tuple(curves),
-        problem=problem,
-        evaluations=cache.evaluations,
-    )
-    if refine and candidate_bits is not None:
-        _refine_report(report, cost, seed)
-    return report
+    return _report(problem, spec, current, cache, flags, curves, refine, seed)
 
 
 def _refine_report(report: LocateReport, cost: CostBatch, seed: Optional[int]) -> None:

@@ -12,6 +12,9 @@ bits):
   constant offset; the symmetric solution pair may be broken by pinning the
   top node into the 1-side.
 
+Both are one :class:`QuadraticCost`, ``scale * x^T Q x + h.x + c`` over the
+problem's Hamming-weight sector, and :func:`permute` reindexes either family.
+
 Data enters either from a closing-price CSV, or from seeded generators
 (factor-model price paths for assets, Bernoulli edges with uniform weights for
 graphs), both deterministic under their seeds.
@@ -23,29 +26,25 @@ import csv
 import datetime as _dt
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .ansatz import DickeSpec
-from .qsim import BasisState, hamming_weight, hamming_weight_array
+from .qsim import BasisState, hamming_weight
 
 __all__ = [
     "PortfolioProblem",
     "IsingModel",
     "BisectionProblem",
-    "ReducedBisection",
+    "QuadraticCost",
     "cost_binary",
-    "cost_binary_batch",
     "to_ising",
-    "reorder",
-    "reverse_assets",
     "cost_bisection",
-    "cost_bisection_batch",
-    "reorder_bisection",
-    "reverse_nodes",
+    "permute",
+    "reorder",
     "ingest_csv",
     "synth_assets",
     "synth_price_paths",
@@ -56,13 +55,11 @@ __all__ = [
     "load_graph",
     "dicke_spec_for",
     "batch_evaluator",
-    "reverse_problem",
+    "lift_bits",
     "bits_matrix",
 ]
 
 BasisLike = Union[int, BasisState]
-
-COST_MODES = ("full", "covariance", "returns")
 
 
 def _as_bits(x: BasisLike) -> int:
@@ -138,27 +135,14 @@ class IsingModel:
         return float(self.q_prime * z @ self.A @ z - self.mu_prime @ z)
 
 
-def cost_binary(p: PortfolioProblem, x: BasisLike, mode: str = "full") -> float:
-    """``q x^T A x - mu^T x`` (or one of its two single-term variants)."""
+def cost_binary(p: PortfolioProblem, x: BasisLike) -> float:
+    """``q x^T A x - mu^T x`` of one bitstring of the budget's weight."""
     bits = _as_bits(x)
     if hamming_weight(bits) != p.budget:
         raise ValueError(
             f"bitstring {bits:0{p.n}b} has weight {hamming_weight(bits)}, budget is {p.budget}"
         )
-    return float(cost_binary_batch(p, np.array([bits], dtype=np.int64), mode)[0])
-
-
-def cost_binary_batch(p: PortfolioProblem, states: np.ndarray, mode: str = "full") -> np.ndarray:
-    """Vectorized cost over an int64 array of basis states (weights trusted)."""
-    if mode not in COST_MODES:
-        raise ValueError(f"mode {mode!r} not one of {COST_MODES}")
-    B = bits_matrix(states, p.n)
-    if mode == "returns":
-        return -(B @ p.mu)
-    quad = np.einsum("ki,ij,kj->k", B, p.A, B, optimize=True)
-    if mode == "covariance":
-        return quad
-    return p.q * quad - B @ p.mu
+    return float(QuadraticCost.of(p)(np.array([bits], dtype=np.int64))[0])
 
 
 def to_ising(p: PortfolioProblem) -> IsingModel:
@@ -166,41 +150,6 @@ def to_ising(p: PortfolioProblem) -> IsingModel:
     mu_prime = 0.5 * (p.q * (p.A @ ones) - p.mu)
     constant = float((p.q / 4.0 * (ones @ p.A) - 0.5 * p.mu) @ ones)
     return IsingModel(q_prime=p.q / 4.0, mu_prime=mu_prime, constant=constant, A=p.A)
-
-
-def _apply_permutation(p: PortfolioProblem, sigma: np.ndarray) -> tuple[PortfolioProblem, tuple[int, ...]]:
-    """Reindex assets so new asset i is old asset sigma[i]."""
-    sigma = np.asarray(sigma, dtype=np.int64)
-    new_perm = tuple(p.permutation[int(s)] for s in sigma)
-    out = PortfolioProblem(
-        n=p.n,
-        q=p.q,
-        A=p.A[np.ix_(sigma, sigma)],
-        mu=p.mu[sigma],
-        budget=p.budget,
-        permutation=new_perm,
-    )
-    return out, tuple(int(s) for s in sigma)
-
-
-def reorder(p: PortfolioProblem, mode: str = "by-return") -> tuple[PortfolioProblem, tuple[int, ...]]:
-    """Sort assets ascending by variance (diag A) or by expected return.
-
-    Ascending order parks the dominant assets on the most significant bits,
-    which biases budget-feasible minima toward high top-half weight.
-    """
-    if mode == "by-variance":
-        key = np.diag(p.A)
-    elif mode == "by-return":
-        key = p.mu
-    else:
-        raise ValueError(f"reorder mode {mode!r} not one of ('by-variance', 'by-return')")
-    sigma = np.argsort(key, kind="stable")
-    return _apply_permutation(p, sigma)
-
-
-def reverse_assets(p: PortfolioProblem) -> tuple[PortfolioProblem, tuple[int, ...]]:
-    return _apply_permutation(p, np.arange(p.n)[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -249,112 +198,119 @@ def cost_bisection(b: BisectionProblem, x: BasisLike) -> float:
         )
     if b.fixed_top_bit and not (bits >> (b.n - 1)) & 1:
         raise ValueError("top bit is pinned to 1 for this instance")
-    return float(cost_bisection_batch(b, np.array([bits], dtype=np.int64))[0])
+    return float(QuadraticCost.of(b)(np.array([bits], dtype=np.int64))[0])
 
 
-def cost_bisection_batch(b: BisectionProblem, states: np.ndarray) -> np.ndarray:
-    """Vectorized cut weight: d.x - x^T W x + offset (weights trusted)."""
-    B = bits_matrix(states, b.n)
-    quad = np.einsum("ki,ij,kj->k", B, b.weights, B, optimize=True)
-    return B @ b.weighted_degree - quad + b.offset
+# ---------------------------------------------------------------------------
+# one cost form and one reindexing (used by the search and optimization layers)
+# ---------------------------------------------------------------------------
+
+Problem = Union[PortfolioProblem, BisectionProblem]
 
 
-def reorder_bisection(b: BisectionProblem) -> tuple[BisectionProblem, tuple[int, ...]]:
-    """Sort nodes ascending by weighted degree (the Laplacian diagonal)."""
-    sigma = np.argsort(b.weighted_degree, kind="stable")
-    new_perm = tuple(b.permutation[int(s)] for s in sigma)
-    out = BisectionProblem(
-        n=b.n,
-        weights=b.weights[np.ix_(sigma, sigma)],
-        offset=b.offset,
-        fixed_top_bit=b.fixed_top_bit,
-        permutation=new_perm,
-    )
-    return out, tuple(int(s) for s in sigma)
+@dataclass(frozen=True, eq=False)
+class QuadraticCost:
+    """``scale * x^T Q x + h.x + c`` over the weight-``k`` states of ``n`` bits.
 
-
-def reverse_nodes(b: BisectionProblem) -> tuple[BisectionProblem, tuple[int, ...]]:
-    sigma = np.arange(b.n)[::-1]
-    new_perm = tuple(b.permutation[int(s)] for s in sigma)
-    out = BisectionProblem(
-        n=b.n,
-        weights=b.weights[np.ix_(sigma, sigma)],
-        offset=b.offset,
-        fixed_top_bit=b.fixed_top_bit,
-        permutation=new_perm,
-    )
-    return out, tuple(int(s) for s in sigma)
-
-
-@dataclass(frozen=True)
-class ReducedBisection:
-    """View of a pinned-top-bit bisection as a free problem on n-1 qubits.
-
-    Reduced states carry the remaining n-1 bits; ``lift`` restores the pinned
-    top bit before cost evaluation.
+    The bits of ``pinned`` are fixed to 1 and are the most significant ones,
+    so the search runs over the low ``spec.n`` bits and a search state lifts to
+    a problem state by OR-ing the mask in. Evaluation ORs it in too, which is
+    idempotent: search-width and problem-width states cost the same.
     """
 
-    base: BisectionProblem
+    n: int
+    k: int
+    scale: float
+    Q: np.ndarray
+    h: np.ndarray
+    c: float = 0.0
+    pinned: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.base.fixed_top_bit:
-            raise ValueError("reduction applies only when the top bit is pinned")
+    @classmethod
+    def of(cls, problem: Problem) -> "QuadraticCost":
+        """The form of a portfolio or bisection problem.
+
+        ``q`` stays outside ``Q`` and the pinned bit stays out of ``h`` and
+        ``c``: folding either in changes the rounding of the energies.
+        """
+        if isinstance(problem, PortfolioProblem):
+            return cls(problem.n, problem.budget, problem.q, problem.A, -problem.mu)
+        if isinstance(problem, BisectionProblem):
+            pinned = 1 << (problem.n - 1) if problem.fixed_top_bit else 0
+            return cls(problem.n, problem.n // 2, -1.0, problem.weights,
+                       problem.weighted_degree, problem.offset, pinned)
+        raise TypeError(f"unsupported problem type {type(problem).__name__}")
 
     @property
-    def n(self) -> int:
-        return self.base.n - 1
+    def spec(self) -> DickeSpec:
+        fixed = hamming_weight(self.pinned)
+        return DickeSpec(self.n - fixed, self.k - fixed)
 
-    @property
-    def budget(self) -> int:
-        return self.base.n // 2 - 1
-
-    def lift(self, states: np.ndarray) -> np.ndarray:
-        return np.asarray(states, dtype=np.int64) | (1 << (self.base.n - 1))
-
-    def cost_batch(self, states: np.ndarray) -> np.ndarray:
-        return cost_bisection_batch(self.base, self.lift(states))
-
-
-# ---------------------------------------------------------------------------
-# generic dispatch (used by the search and optimization layers)
-# ---------------------------------------------------------------------------
-
-Problem = Union[PortfolioProblem, BisectionProblem, ReducedBisection]
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        states = np.asarray(states, dtype=np.int64)
+        if self.pinned:
+            states = states | self.pinned
+        B = bits_matrix(states, self.n)
+        energies = np.einsum("ki,ij,kj->k", B, self.Q, B, optimize=True)
+        energies *= self.scale
+        energies += B @ self.h
+        energies += self.c
+        return energies
 
 
 def dicke_spec_for(problem: Problem) -> DickeSpec:
-    if isinstance(problem, PortfolioProblem):
-        return DickeSpec(problem.n, problem.budget)
-    if isinstance(problem, ReducedBisection):
-        return DickeSpec(problem.n, problem.budget)
+    """The weight sector the search runs over (pinned bits excluded)."""
+    return QuadraticCost.of(problem).spec
+
+
+def lift_bits(problem: Problem, bits: int) -> int:
+    """A search-width bitstring as a problem-width one (pinned bits set)."""
+    return bits | QuadraticCost.of(problem).pinned
+
+
+def batch_evaluator(problem: Problem) -> Callable[[np.ndarray], np.ndarray]:
+    """The problem's cost as a pure function from int64 basis states to energies.
+
+    Use the result only as that function: read the spec and the lift through
+    :func:`dicke_spec_for` and :func:`lift_bits`.
+    """
+    return QuadraticCost.of(problem)
+
+
+def permute(problem: Problem, sigma: Sequence[int]) -> tuple[Problem, tuple[int, ...]]:
+    """Reindex so new index i is old index sigma[i]; returns the copy and sigma.
+
+    Every n x n array field is permuted on both axes, every length-n one along
+    its axis, and ``permutation`` keeps mapping back to construction order.
+    """
+    sigma = np.asarray(sigma, dtype=np.int64)
+    changes = {"permutation": tuple(problem.permutation[int(s)] for s in sigma)}
+    for f in fields(problem):
+        value = getattr(problem, f.name)
+        if isinstance(value, np.ndarray):
+            changes[f.name] = value[np.ix_(sigma, sigma)] if value.ndim == 2 else value[sigma]
+    return replace(problem, **changes), tuple(int(s) for s in sigma)
+
+
+def reorder(problem: Problem, mode: str = "auto") -> tuple[Problem, tuple[int, ...]]:
+    """Sort indices ascending by a per-index key and :func:`permute` by it.
+
+    Portfolios sort by expected return ("auto" or "by-return") or by variance
+    ("by-variance"), graphs by weighted degree ("auto"). Ascending order parks
+    the dominant indices on the most significant bits, which biases
+    weight-feasible minima toward high top-half weight.
+    """
     if isinstance(problem, BisectionProblem):
-        if problem.fixed_top_bit:
-            return dicke_spec_for(ReducedBisection(problem))
-        return DickeSpec(problem.n, problem.n // 2)
-    raise TypeError(f"unsupported problem type {type(problem).__name__}")
-
-
-def batch_evaluator(problem: Problem, mode: str = "full") -> Callable[[np.ndarray], np.ndarray]:
-    """A pure array-in/array-out cost function over basis-state integers."""
-    if isinstance(problem, PortfolioProblem):
-        return lambda states: cost_binary_batch(problem, states, mode)
-    if mode != "full":
-        raise ValueError(f"cost mode {mode!r} applies only to portfolio instances")
-    if isinstance(problem, ReducedBisection):
-        return problem.cost_batch
-    if isinstance(problem, BisectionProblem):
-        if problem.fixed_top_bit:
-            return ReducedBisection(problem).cost_batch
-        return lambda states: cost_bisection_batch(problem, states)
-    raise TypeError(f"unsupported problem type {type(problem).__name__}")
-
-
-def reverse_problem(problem: Problem) -> tuple[Problem, tuple[int, ...]]:
-    if isinstance(problem, PortfolioProblem):
-        return reverse_assets(problem)
-    if isinstance(problem, BisectionProblem):
-        return reverse_nodes(problem)
-    raise TypeError(f"cannot reverse {type(problem).__name__}")
+        if mode != "auto":
+            raise ValueError(f"reorder {mode!r} applies to portfolios only")
+        key = problem.weighted_degree
+    elif mode in ("auto", "by-return"):
+        key = problem.mu
+    elif mode == "by-variance":
+        key = np.diag(problem.A)
+    else:
+        raise ValueError(f"reorder mode {mode!r} not one of ('by-variance', 'by-return')")
+    return permute(problem, np.argsort(key, kind="stable"))
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,6 @@ def optimize(
     cvar_cfg: Optional[CVaRConfig] = None,
     schedule: Optional[CorrelationSchedule] = None,
     seed: Optional[int] = None,
-    cost_mode: str = "full",
 ) -> tuple[qsim.BasisState, float, list[TraceRow]]:
     """Staged CVaR minimization; returns the best sampled state and the trace.
 
@@ -353,7 +352,7 @@ def optimize(
             f"group size {max(schedule.counts)} exceeds {preparer.num_params} parameter slots"
         )
 
-    cost = batch_evaluator(problem, cost_mode)
+    cost = batch_evaluator(problem)
     rng = np.random.default_rng(seed)
     gs_bits = _exact_ground_state(problem, spec)
 

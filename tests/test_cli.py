@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from hwvqe import locate
 from hwvqe.ansatz import circuit_from_text
 from hwvqe.cli import ConfigError, load_config, main
 from hwvqe.problem import (
@@ -90,6 +91,15 @@ def test_invalid_json_reports_line(tmp_path, capsys):
         ({"cvar": {"shots": "many"}}, "shots"),
         ({"cap": "x"}, "cap"),
         ({"theta0_pi": "a"}, "theta0_pi"),
+        # a portfolio budget must leave both sides of the selection non-empty
+        ({"problem": {"kind": "synth-portfolio", "n": 10, "seed": 4, "budget": 0}}, "budget"),
+        ({"problem": {"kind": "synth-portfolio", "n": 10, "seed": 4, "budget": 10}}, "budget"),
+        ({"problem": {"kind": "synth-portfolio", "n": 10, "seed": 4, "budget": -1}}, "budget"),
+        ({"problem": {"kind": "synth-portfolio", "n": 10, "seed": 4, "budget": 11}}, "budget"),
+        (
+            {"problem": {"kind": "synth-portfolio", "n": 10, "seed": 4, "budget": 0}, "theta0_pi": 0.65},
+            "budget",
+        ),
     ],
 )
 def test_validation_errors_cite_the_offending_line(tmp_path, capsys, overrides, key):
@@ -144,6 +154,24 @@ def test_width_beyond_int64_packing_is_a_config_error(tmp_path, capsys, command)
     n_line = path.read_text().splitlines().index('    "n": 64,') + 1
     assert f"{path}:{n_line}:" in err
     assert "62-qubit limit of int64 bit packing" in err
+
+
+def test_portfolio_file_budget_error_cites_the_path_line(tmp_path, capsys):
+    instance = tmp_path / "p.json"
+    p = synth_assets(8, 3)
+    save_portfolio(PortfolioProblem(n=8, q=p.q, A=p.A, mu=p.mu, budget=8), instance)
+    path = _write_config(tmp_path, problem={"kind": "portfolio-file", "path": str(instance)})
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    path_line = next(i for i, line in enumerate(path.read_text().splitlines(), start=1) if '"path"' in line)
+    assert f"{path}:{path_line}: portfolio budget 8 outside 1..7" in err
+
+
+def test_negative_seed_override_names_the_flag(capsys):
+    rc = main(["solve", "--config", "portfolio12", "--seed", "-1"])
+    assert rc == 1
+    assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 def test_gen_data_writes_instances_beyond_int64_packing(tmp_path):
@@ -324,6 +352,23 @@ def test_interpolate_artifact_full_polyline(tmp_path):
         if r[1]:
             t = int(r[0])
             assert float(r[2]) == pytest.approx(a * t * t + b * t + c, abs=1e-12)
+
+
+def test_interpolate_costs_each_cell_once(tmp_path, monkeypatch):
+    seen = []
+    exact = locate.subspace_min
+
+    def counted(sa, cost, cap):
+        seen.append(sa)
+        return exact(sa, cost, cap)
+
+    monkeypatch.setattr(locate, "subspace_min", counted)
+    cfg = _write_config(
+        tmp_path,
+        problem={"kind": "synth-portfolio", "n": 12, "seed": 2, "q": 0.9, "budget": 6},
+    )
+    assert main(["interpolate", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 0
+    assert len(seen) == len(set(seen)) == 7
 
 
 def test_interpolate_partial_polyline_warns(tmp_path, capsys):

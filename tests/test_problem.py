@@ -1,9 +1,9 @@
 """Cost models: quadratic forms, spin mapping, reordering, file formats."""
 
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_minimum
 from hwvqe.ansatz import DickeSpec
@@ -11,21 +11,17 @@ from hwvqe.partition import bitstrings_of_weight
 from hwvqe.problem import (
     BisectionProblem,
     PortfolioProblem,
-    ReducedBisection,
     batch_evaluator,
+    bits_matrix,
     cost_binary,
-    cost_binary_batch,
     cost_bisection,
-    cost_bisection_batch,
     dicke_spec_for,
     ingest_csv,
+    lift_bits,
     load_graph,
     load_portfolio,
+    permute,
     reorder,
-    reorder_bisection,
-    reverse_assets,
-    reverse_nodes,
-    reverse_problem,
     save_graph,
     save_portfolio,
     synth_assets,
@@ -54,33 +50,16 @@ def test_cost_binary_matches_quadratic_form(rng):
         assert abs(cost_binary(p, int(bits)) - expected) < 1e-12
 
 
-def test_cost_binary_modes(rng):
-    p = _random_portfolio(rng)
-    bits = int(bitstrings_of_weight(p.n, p.budget)[7])
-    x = _bits_vector(bits, p.n)
-    # "covariance" is the bare quadratic (no risk weight), "returns" is -mu.x
-    assert abs(cost_binary(p, bits, mode="covariance") - x @ p.A @ x) < 1e-12
-    assert abs(cost_binary(p, bits, mode="returns") - (-p.mu @ x)) < 1e-12
-    full = cost_binary(p, bits, mode="full")
-    assert abs(
-        full
-        - p.q * cost_binary(p, bits, mode="covariance")
-        - cost_binary(p, bits, mode="returns")
-    ) < 1e-12
-    with pytest.raises(ValueError):
-        cost_binary(p, bits, mode="mixed")
-
-
 def test_cost_binary_rejects_wrong_weight(rng):
     p = _random_portfolio(rng)
     with pytest.raises(ValueError):
         cost_binary(p, 0b1)  # weight 1 != budget 4
 
 
-def test_cost_binary_batch_equals_loop(rng):
+def test_batch_evaluator_equals_loop(rng):
     p = _random_portfolio(rng)
     states = bitstrings_of_weight(p.n, p.budget).astype(np.int64)
-    batch = cost_binary_batch(p, states)
+    batch = batch_evaluator(p)(states)
     loop = np.array([cost_binary(p, int(b)) for b in states])
     assert np.allclose(batch, loop, atol=1e-12)
 
@@ -135,7 +114,7 @@ def test_reorder_by_variance_sorts_diagonal(rng):
 
 def test_reverse_assets_mirrors_cost(rng):
     p = _random_portfolio(rng, n=8)
-    r, _ = reverse_assets(p)
+    r, _ = permute(p, np.arange(8)[::-1])
     for bits in bitstrings_of_weight(8, 4)[:30]:
         mirrored = int(format(int(bits), "08b")[::-1], 2)
         assert abs(cost_binary(r, mirrored) - cost_binary(p, int(bits))) < 1e-12
@@ -166,11 +145,11 @@ def test_bisection_cost_tiny_graph_oracle():
 def test_bisection_batch_and_offset(rng):
     g = synth_graph(8, 0.6, seed_graph=4, seed_weights=5, offset=-3.0)
     states = bitstrings_of_weight(8, 4).astype(np.int64)
-    batch = cost_bisection_batch(g, states)
+    batch = batch_evaluator(g)(states)
     loop = np.array([cost_bisection(g, int(b)) for b in states])
     assert np.allclose(batch, loop, atol=1e-12)
     g0 = synth_graph(8, 0.6, seed_graph=4, seed_weights=5, offset=0.0)
-    assert np.allclose(batch, cost_bisection_batch(g0, states) - 3.0, atol=1e-12)
+    assert np.allclose(batch, batch_evaluator(g0)(states) - 3.0, atol=1e-12)
 
 
 def test_bisection_validation():
@@ -184,14 +163,16 @@ def test_bisection_validation():
 
 def test_reorder_bisection_sorts_weighted_degree():
     g = synth_graph(10, 0.5, seed_graph=1, seed_weights=2)
-    r, sigma = reorder_bisection(g)
+    r, sigma = reorder(g)
     assert np.all(np.diff(r.weighted_degree) >= 0)
     assert sorted(sigma) == list(range(10))
+    with pytest.raises(ValueError, match="portfolios only"):
+        reorder(g, "by-return")
 
 
 def test_reverse_nodes_mirrors_cost():
     g = synth_graph(6, 0.7, seed_graph=9, seed_weights=9)
-    r, _ = reverse_nodes(g)
+    r, _ = permute(g, np.arange(6)[::-1])
     for bits in bitstrings_of_weight(6, 3):
         mirrored = int(format(int(bits), "06b")[::-1], 2)
         assert abs(cost_bisection(r, mirrored) - cost_bisection(g, int(bits))) < 1e-12
@@ -199,12 +180,11 @@ def test_reverse_nodes_mirrors_cost():
 
 def test_reduced_bisection_equals_pinned_full_cost():
     g = synth_graph(8, 0.6, seed_graph=11, seed_weights=12, fixed_top_bit=True)
-    reduced = ReducedBisection(g)
-    assert reduced.n == 7 and reduced.budget == 3
+    assert dicke_spec_for(g) == DickeSpec(7, 3)
     states = bitstrings_of_weight(7, 3).astype(np.int64)
-    reduced_costs = reduced.cost_batch(states)
+    reduced_costs = batch_evaluator(g)(states)
     for bits, value in zip(states, reduced_costs):
-        full_bits = reduced.lift(int(bits))
+        full_bits = lift_bits(g, int(bits))
         assert full_bits >> 7 == 1
         assert abs(value - cost_bisection(g, full_bits)) < 1e-12
 
@@ -215,27 +195,61 @@ def test_dicke_spec_for_all_problem_shapes():
     g = synth_graph(8, 0.5, 1, 2)
     assert dicke_spec_for(g) == DickeSpec(8, 4)
     gf = synth_graph(8, 0.5, 1, 2, fixed_top_bit=True)
-    assert dicke_spec_for(ReducedBisection(gf)) == DickeSpec(7, 3)
+    assert dicke_spec_for(gf) == DickeSpec(7, 3)
+    assert lift_bits(g, 0b101) == 0b101 and lift_bits(gf, 0b101) == 0b10000101
 
 
-def test_batch_evaluator_mode_applies_to_portfolio_only():
-    g = synth_graph(6, 0.5, 1, 2)
-    with pytest.raises(ValueError):
-        batch_evaluator(g, "returns")
-    p = synth_assets(6, 1)
-    states = bitstrings_of_weight(6, 3).astype(np.int64)
-    assert np.allclose(
-        batch_evaluator(p, "returns")(states),
-        cost_binary_batch(p, states, mode="returns"),
-        atol=1e-12,
-    )
-
-
-def test_reverse_problem_dispatch(rng):
+def test_permute_keeps_the_problem_family(rng):
     p = _random_portfolio(rng)
-    assert isinstance(reverse_problem(p)[0], PortfolioProblem)
-    g = synth_graph(6, 0.5, 1, 2)
-    assert isinstance(reverse_problem(g)[0], BisectionProblem)
+    assert isinstance(permute(p, np.arange(p.n)[::-1])[0], PortfolioProblem)
+    g = synth_graph(6, 0.5, 1, 2, fixed_top_bit=True)
+    r, _ = permute(g, np.arange(6)[::-1])
+    assert isinstance(r, BisectionProblem) and r.fixed_top_bit
+    # permutations compose back to the construction order
+    sigma = rng.permutation(6)
+    s, _ = permute(r, sigma)
+    assert s.permutation == tuple(5 - int(i) for i in sigma)
+
+
+# The per-family batch formulas that the single quadratic form replaced, kept
+# verbatim as the oracle: the form must reproduce them bit for bit.
+def _portfolio_oracle(p, states):
+    B = bits_matrix(states, p.n)
+    quad = np.einsum("ki,ij,kj->k", B, p.A, B, optimize=True)
+    return p.q * quad - B @ p.mu
+
+
+def _bisection_oracle(b, states):
+    B = bits_matrix(states, b.n)
+    quad = np.einsum("ki,ij,kj->k", B, b.weights, B, optimize=True)
+    return B @ b.weighted_degree - quad + b.offset
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    family=st.sampled_from(["portfolio", "bisection", "pinned"]),
+    half=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    q=st.floats(0.01, 10.0),
+    offset=st.floats(-50.0, 50.0),
+)
+def test_batch_evaluator_matches_the_per_family_formulas(family, half, seed, q, offset):
+    n = 2 * half
+    local = np.random.default_rng(seed)
+    if family == "portfolio":
+        p = _random_portfolio(local, n=n, q=q, budget=int(local.integers(1, n)))
+        states = bitstrings_of_weight(n, p.budget).astype(np.int64)
+        assert np.array_equal(batch_evaluator(p)(states), _portfolio_oracle(p, states))
+        return
+    W = np.triu(local.random((n, n)) * (local.random((n, n)) < 0.6), 1)
+    g = BisectionProblem(n=n, weights=W + W.T, offset=offset, fixed_top_bit=family == "pinned")
+    spec = dicke_spec_for(g)
+    states = bitstrings_of_weight(spec.n, spec.k).astype(np.int64)
+    full = np.array([lift_bits(g, int(s)) for s in states], dtype=np.int64)
+    cost = batch_evaluator(g)
+    # search-width and problem-width states cost the same
+    assert np.array_equal(cost(states), _bisection_oracle(g, full))
+    assert np.array_equal(cost(full), _bisection_oracle(g, full))
 
 
 def test_synth_assets_deterministic_and_valid():
@@ -329,7 +343,7 @@ def test_exact_minimum_helper_agrees_with_argmin(rng):
     p = _random_portfolio(rng, n=8)
     bits, energy = exact_minimum(p)
     states = bitstrings_of_weight(8, 4).astype(np.int64)
-    energies = cost_binary_batch(p, states)
+    energies = batch_evaluator(p)(states)
     assert energy == energies.min()
     assert bits in states[energies == energy]
     assert abs(cost_binary(p, bits) - energy) < 1e-12
