@@ -21,7 +21,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -661,6 +660,8 @@ def cmd_study(cfg: RunConfig, args) -> int:
     payloads = [(cfg_doc, a, b, seeds, epochs, shots, theta0) for a in alphas for b in betas]
     results: dict[tuple[float, int], list[list[float]]] = {}
     if args.jobs and args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only study needs it; keeps import light
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for key, traces in pool.map(_study_cell, payloads):
                 results[key] = traces

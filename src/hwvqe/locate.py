@@ -5,9 +5,10 @@ curve over the sub-ansatz index; fitting that curve and rounding its argmin
 predicts which sub-ansatz holds the ground state without touching the huge
 middle cells. Two drivers build on this:
 
-* :func:`locate_soft` — one level of interpolation, with an asset-order
-  reversal when the prediction falls into the left quarter, so a subsequent
-  optimizer can start from the right-leaning region it favors.
+* :func:`locate_soft` — one level of interpolation; when the prediction falls
+  into the left quarter, it reverses the index order (portfolios) or mirrors
+  the target (unpinned bisections), so a subsequent optimizer can start from
+  the right-leaning region it favors.
 * :func:`locate_hard` — recursive: interpolate the level-1 curve, then walk
   the child grid of the chosen cell (diagonal interpolation followed by a
   cruciform greedy), recursing until the requested depth; the final cell is
@@ -34,7 +35,7 @@ from .partition import (
     format_id,
     subansatz_basis_count,
 )
-from .problem import batch_evaluator, dicke_spec_for, permute
+from .problem import BisectionProblem, batch_evaluator, dicke_spec_for, permute
 from .qsim import BasisState, hamming_weight
 
 __all__ = [
@@ -345,6 +346,11 @@ def locate_soft(
     problem's index order is reversed (mirroring the curve into the right
     half) and the interpolation is redone on the reversed instance; the report
     carries the problem that was actually evaluated last.
+
+    An unpinned bisection costs a split and its complement the same, so its
+    cell ``i`` holds the complements of cell ``extent-1-i`` and reversal would
+    reproduce the same curve. There the target itself is mirrored instead,
+    with no re-evaluation, and ``mirror_applied`` is flagged.
     """
     if spec is None:
         spec = dicke_spec_for(problem)
@@ -356,13 +362,17 @@ def locate_soft(
     discarded = 0
 
     if target <= spec.n // 4 and dicke_spec_for(problem).n == problem.n:
-        problem, _ = permute(problem, np.arange(problem.n)[::-1])
-        discarded = cache.evaluations
-        cache = _CellCache(batch_evaluator(problem), cap)  # energies of the reversed instance
-        target, curve, flags = _level_one(cache, spec)
-        if curve is not None:
-            curves.append(curve)
-        flags["reversal_applied"] = True
+        if isinstance(problem, BisectionProblem):
+            target = child_count(spec) - 1 - target
+            flags["mirror_applied"] = True
+        else:
+            problem, _ = permute(problem, np.arange(problem.n)[::-1])
+            discarded = cache.evaluations
+            cache = _CellCache(batch_evaluator(problem), cap)  # energies of the reversed instance
+            target, curve, flags = _level_one(cache, spec)
+            if curve is not None:
+                curves.append(curve)
+            flags["reversal_applied"] = True
 
     predicted = SubAnsatzId(spec, ((target,),))
     return _report(problem, spec, predicted, cache, flags, curves, refine, seed, discarded)

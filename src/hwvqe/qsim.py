@@ -52,7 +52,7 @@ def hamming_weight(bits: int) -> int:
     return int(bits).bit_count()
 
 
-_POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+_POPCOUNT16 = sum((np.arange(1 << 16) >> i) & 1 for i in range(16)).astype(np.uint8)
 
 
 def hamming_weight_array(states: np.ndarray) -> np.ndarray:

@@ -251,6 +251,24 @@ def test_solve_fixed_top_bit_graph_lifts_solution(tmp_path):
     assert sol["search_spec"] == {"n": 9, "k": 4}
 
 
+def test_solve_mirrors_a_left_target_on_an_unpinned_graph(tmp_path):
+    # a bisection costs a split and its complement the same, so its level-1
+    # curve is symmetric and reversing the nodes reproduces the left target
+    # (fitted vertex just under 3.5) that close_to_solution_theta refuses
+    cfg = _write_config(
+        tmp_path,
+        problem={"kind": "synth-graph", "n": 14, "p_edge": 0.5, "seed_graph": 8, "seed_weights": 9},
+        reorder="auto",
+    )
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 0
+    assert main(["bruteforce", "--config", str(cfg), "--out", str(tmp_path / "mb")]) == 0
+    sol = json.loads((tmp_path / "m" / "solution.json").read_text())
+    brute = json.loads((tmp_path / "mb" / "bruteforce.json").read_text())
+    assert sol["flags"]["mirror_applied"] and "reversal_applied" not in sol["flags"]
+    assert sol["predicted"] == "sa^1_[4]"  # the fitted cell 3, mirrored
+    assert sol["solution"]["energy"] == pytest.approx(brute["solution"]["energy"], abs=1e-12)
+
+
 def test_solve_odd_width_without_theta0_is_a_config_error(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

@@ -21,7 +21,7 @@ from hwvqe.locate import (
     subspace_min,
 )
 from hwvqe.partition import SubAnsatzId, bitstrings_of_weight, enumerate_subansatz_arrays
-from hwvqe.problem import PortfolioProblem, batch_evaluator, reorder, synth_assets
+from hwvqe.problem import PortfolioProblem, batch_evaluator, reorder, synth_assets, synth_graph
 from hwvqe.qsim import BasisState
 
 
@@ -205,6 +205,18 @@ def test_greedy_bitstring_restarts_are_seeded():
     assert a[1] <= no_restart[1]  # restarts can only improve the endpoint
 
 
+def test_greedy_bitstring_started_at_the_optimum_takes_no_step():
+    # the bundled portfolio12 problem; a restart path ends on the optimum too,
+    # costed inside a neighbour batch, and must not read lower than the start
+    p = _portfolio(1000, n=12)
+    bits, energy = exact_minimum(p)
+    final, final_energy, path = greedy_bitstring(
+        batch_evaluator(p), BasisState(bits, 12), restarts=2, seed=7
+    )
+    assert path == [(bits, energy)]
+    assert final.bits == bits and final_energy == energy
+
+
 # ---------------------------------------------------------------------------
 # soft driver
 # ---------------------------------------------------------------------------
@@ -247,6 +259,16 @@ def test_locate_soft_right_leaning_instance_stays_put():
     report = locate_soft(p)
     assert "reversal_applied" not in report.flags
     assert report.predicted.levels == ((5,),) and report.evaluations == 4
+
+
+def test_locate_soft_mirrors_left_target_of_unpinned_graph():
+    g, _ = reorder(synth_graph(14, 0.5, 8, 9))
+    report = locate_soft(g)
+    # cell i holds the complements of cell 7 - i: no reversal, no re-evaluation
+    assert report.flags["mirror_applied"] and "reversal_applied" not in report.flags
+    assert report.problem is g and report.evaluations == 4
+    assert report.predicted.levels == ((4,),)
+    assert report.curves[0].argmin == 3
 
 
 def test_locate_soft_rejects_odd_width():

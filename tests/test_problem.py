@@ -1,8 +1,11 @@
 """Cost models: quadratic forms, spin mapping, reordering, file formats."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_minimum
@@ -12,7 +15,6 @@ from hwvqe.problem import (
     BisectionProblem,
     PortfolioProblem,
     batch_evaluator,
-    bits_matrix,
     cost_binary,
     cost_bisection,
     dicke_spec_for,
@@ -211,45 +213,122 @@ def test_permute_keeps_the_problem_family(rng):
     assert s.permutation == tuple(5 - int(i) for i in sigma)
 
 
-# The per-family batch formulas that the single quadratic form replaced, kept
-# verbatim as the oracle: the form must reproduce them bit for bit.
-def _portfolio_oracle(p, states):
-    B = bits_matrix(states, p.n)
-    quad = np.einsum("ki,ij,kj->k", B, p.A, B, optimize=True)
-    return p.q * quad - B @ p.mu
+_U = Fraction(1, 2**53)
 
 
-def _bisection_oracle(b, states):
-    B = bits_matrix(states, b.n)
-    quad = np.einsum("ki,ij,kj->k", B, b.weights, B, optimize=True)
-    return B @ b.weighted_degree - quad + b.offset
+def _family_problem(family, n, seed, q, offset):
+    """A problem of ``family`` on ``n`` bits, with weights spread over decades.
+
+    Portfolio covariances carry an asymmetry below the constructor's tolerance.
+    """
+    local = np.random.default_rng(seed)
+    M = local.standard_normal((n, n)) * 10.0 ** local.integers(-3, 4, size=(n, n))
+    M *= local.random((n, n)) < 0.7
+    if family == "portfolio":
+        A = (M + M.T) * (1.0 + 1e-9 * local.standard_normal((n, n)))
+        mu = local.standard_normal(n) * 10.0 ** float(local.integers(-3, 3))
+        return PortfolioProblem(n=n, q=q, A=A, mu=mu, budget=int(local.integers(0, n + 1)))
+    W = np.abs(np.triu(M, 1))
+    return BisectionProblem(n=n, weights=W + W.T, offset=offset, fixed_top_bit=family == "pinned")
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+def _weight_k_states(n, k, count, seed):
+    """Every weight-k state of n bits when few, else ``count`` random ones."""
+    if math.comb(n, k) <= count:
+        return bitstrings_of_weight(n, k).astype(np.int64)
+    ones = np.argsort(np.random.default_rng(seed).random((count, n)), axis=1)[:, :k]
+    return (np.int64(1) << ones.astype(np.int64)).sum(axis=1)
+
+
+def _in_min_units(x):
+    """``x * 2**1074`` as an exact integer: every finite double is a multiple of 2**-1074."""
+    num, den = float(x).as_integer_ratio()
+    return num * ((1 << 1074) // den)
+
+
+def _exact_energies_and_sizes(problem, states):
+    """The family's energy of each problem-width state in exact rationals, and
+    ``S = |scale| sum |Q_ij| + sum |h_i| + |c|`` over its set bits."""
+    if isinstance(problem, PortfolioProblem):
+        scale, Q, h, c = problem.q, problem.A, -problem.mu, 0.0
+    else:
+        scale, Q, h, c = -1.0, problem.weights, problem.weighted_degree, problem.offset
+    Q = [[_in_min_units(v) for v in row] for row in Q]
+    h = [_in_min_units(v) for v in h]
+    scale, c = _in_min_units(scale), _in_min_units(c)
+    out = []
+    for bits in states:
+        on = [i for i in range(problem.n) if (int(bits) >> i) & 1]
+        quad = [Q[i][j] for i in on for j in on]
+        linear = [h[i] for i in on]
+        energy = Fraction(scale * sum(quad), 1 << 2148) + Fraction(sum(linear) + c, 1 << 1074)
+        size = Fraction(abs(scale) * sum(map(abs, quad)), 1 << 2148) + Fraction(
+            sum(map(abs, linear)) + abs(c), 1 << 1074
+        )
+        out.append((energy, size))
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     family=st.sampled_from(["portfolio", "bisection", "pinned"]),
-    half=st.integers(1, 6),
+    n=st.integers(1, 62),
     seed=st.integers(0, 2**32 - 1),
     q=st.floats(0.01, 10.0),
     offset=st.floats(-50.0, 50.0),
 )
-def test_batch_evaluator_matches_the_per_family_formulas(family, half, seed, q, offset):
-    n = 2 * half
-    local = np.random.default_rng(seed)
-    if family == "portfolio":
-        p = _random_portfolio(local, n=n, q=q, budget=int(local.integers(1, n)))
-        states = bitstrings_of_weight(n, p.budget).astype(np.int64)
-        assert np.array_equal(batch_evaluator(p)(states), _portfolio_oracle(p, states))
-        return
-    W = np.triu(local.random((n, n)) * (local.random((n, n)) < 0.6), 1)
-    g = BisectionProblem(n=n, weights=W + W.T, offset=offset, fixed_top_bit=family == "pinned")
-    spec = dicke_spec_for(g)
-    states = bitstrings_of_weight(spec.n, spec.k).astype(np.int64)
-    full = np.array([lift_bits(g, int(s)) for s in states], dtype=np.int64)
-    cost = batch_evaluator(g)
+@example(family="portfolio", n=62, seed=1, q=0.9, offset=0.0)  # the widest: 8 blocks, 36 tables
+@example(family="portfolio", n=61, seed=2, q=3.0, offset=0.0)
+@example(family="pinned", n=62, seed=3, q=0.9, offset=-7.5)
+def test_batch_evaluator_matches_the_per_family_formulas(family, n, seed, q, offset):
+    """Every energy is within ``K u / (1 - K u) * S`` of the exact rational one.
+
+    ``u = 2**-53``, ``K = B(B+1)/2 + 17`` for ``B = ceil(n/8)`` byte blocks,
+    and ``S`` is the absolute size of the energy's terms; bisections use the
+    even width at or below ``n``. A pinned graph's search-width states must
+    cost bitwise what their lifted problem-width states cost.
+    """
+    if family != "portfolio":
+        n = max(2, n - n % 2)
+    problem = _family_problem(family, n, seed, q, offset)
+    spec = dicke_spec_for(problem)
+    states = _weight_k_states(spec.n, spec.k, 64, seed)
+    full = np.array([lift_bits(problem, int(s)) for s in states], dtype=np.int64)
+    cost = batch_evaluator(problem)
+    energies = cost(states)
     # search-width and problem-width states cost the same
-    assert np.array_equal(cost(states), _bisection_oracle(g, full))
-    assert np.array_equal(cost(full), _bisection_oracle(g, full))
+    assert np.array_equal(energies, cost(full))
+    blocks = -(-n // 8)
+    K = blocks * (blocks + 1) // 2 + 17
+    gamma = K * _U / (1 - K * _U)
+    for bits, value, (exact, size) in zip(full, energies, _exact_energies_and_sizes(problem, full)):
+        assert abs(Fraction(float(value)) - exact) <= gamma * size, (int(bits), float(value), float(exact))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    family=st.sampled_from(["portfolio", "bisection", "pinned"]),
+    n=st.integers(2, 62),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 3000),
+    cut=st.tuples(st.integers(0, 2**31), st.integers(0, 2**31)),
+)
+@example(family="portfolio", n=40, seed=5, count=70_000, cut=(40_000, 20_000))  # spans chunks
+def test_energy_is_a_function_of_the_state_alone(family, n, seed, count, cut):
+    """Bitwise the same energy in a batch, alone, in any slice and any order."""
+    if family != "portfolio":
+        n -= n % 2
+    problem = _family_problem(family, n, seed, 0.9, -3.0)
+    spec = dicke_spec_for(problem)
+    states = _weight_k_states(spec.n, spec.k, count, seed)
+    cost = batch_evaluator(problem)
+    energies = cost(states)
+    i = cut[0] % len(states)
+    j = i + cut[1] % (len(states) - i + 1)
+    assert cost(states[i : i + 1])[0] == energies[i]
+    assert np.array_equal(cost(states[i:j]), energies[i:j])
+    order = np.random.default_rng(seed).permutation(len(states))
+    assert np.array_equal(cost(states[order]), energies[order])
 
 
 def test_synth_assets_deterministic_and_valid():
