@@ -1,7 +1,7 @@
 """Classical simulation of Hamming-weight-constrained variational optimization.
 
-Subpackages: statevector simulation (`qsim`), Dicke-state circuit construction
-(`ansatz`), product decomposition of the weight-constrained space
+Subpackages: weight-sector statevector simulation (`qsim`), Dicke-state circuit
+construction (`ansatz`), product decomposition of the weight-constrained space
 (`partition`), cost models (`problem`), ground-state location (`locate`),
 CVaR optimization (`vqe`), and the batch CLI (`cli`).
 """

@@ -73,6 +73,9 @@ class Circuit:
     post_x: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        for q in self.x_placements + self.post_x:
+            if not 0 <= q < self.num_qubits:
+                raise ValueError(f"X on qubit {q} invalid for {self.num_qubits} qubits")
         for upper, lower, _ in self.blocks:
             if upper != lower + 1 or not 0 <= lower < upper <= self.num_qubits - 1:
                 raise ValueError(f"block pair ({upper},{lower}) invalid for {self.num_qubits} qubits")
@@ -90,8 +93,8 @@ def _x_placements(n: int, k: int) -> tuple[int, ...]:
 def build_straight(spec: DickeSpec) -> Circuit:
     """Single descending staircase: blocks (n-1,n-2), (n-2,n-3), ..., (1,0)."""
     n, k = spec.n, spec.k
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"straight circuit needs 1 <= k <= n-1, got ({n},{k})")
+    if k < 1 or 2 * k > n:  # the initial flips n-2, ..., n-2k must stay on the register
+        raise ValueError(f"straight circuit needs 1 <= k <= n/2, got ({n},{k})")
     blocks = tuple((q, q - 1, slot) for slot, q in enumerate(range(n - 1, 0, -1)))
     return Circuit(n, k, "straight", _x_placements(n, k), blocks)
 

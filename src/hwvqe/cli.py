@@ -28,8 +28,8 @@ from typing import Any, Callable, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from . import __version__, locate, vqe
-from .ansatz import build_for, circuit_to_text
+from . import __version__, locate, qsim, vqe
+from .ansatz import DickeSpec, build_for, circuit_to_text
 from .partition import (
     FragmentPreparer,
     SubAnsatzId,
@@ -38,7 +38,7 @@ from .partition import (
     format_id,
     subansatz_basis_count,
 )
-from .qsim import BasisState
+from .qsim import MAX_PACKED_QUBITS, BasisState
 from .problem import (
     PortfolioProblem,
     batch_evaluator,
@@ -56,9 +56,6 @@ from .problem import (
 )
 
 __all__ = ["main", "RunConfig", "ConfigError", "load_config"]
-
-MAX_PACKED_QUBITS = 62  # basis states are bit patterns packed into int64
-
 
 class ConfigError(ValueError):
     """Configuration failure carrying a file/line-qualified message."""
@@ -407,6 +404,28 @@ def _cvar_from(cfg: RunConfig, iterations: int) -> vqe.CVaRConfig:
 # ---------------------------------------------------------------------------
 
 
+def _check_engine_memory(cfg: RunConfig, key: str | tuple[str, ...], spec: DickeSpec, hint: str = "") -> None:
+    """Fail at ``key`` when the engine's memory cap refuses the circuit of ``spec``."""
+    if 0 < spec.k < spec.n:
+        try:
+            qsim.check_engine_memory(build_for(spec))
+        except ValueError as exc:
+            cfg.fail(key, f"{exc}{hint}")
+
+
+def _check_full_width(cfg: RunConfig, spec: DickeSpec, curves: bool) -> None:
+    """Check, before any work and at the ``problem.n`` line, that soft mode can
+    simulate the whole search space and, with ``curves``, compute its exact
+    ratio curves."""
+    if curves and spec.n > vqe.EXACT_PROBABILITY_LIMIT:
+        cfg.fail(
+            ("problem", "n"),
+            f"theta0 from the exact ratio curves needs at most {vqe.EXACT_PROBABILITY_LIMIT} "
+            f"qubits, got {spec.n}; set theta0_pi explicitly",
+        )
+    _check_engine_memory(cfg, ("problem", "n"), spec)
+
+
 def cmd_solve(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     # soft location may swap in a reversed copy of the problem: the reported
@@ -421,6 +440,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     theta0 = None if cfg.theta0_pi is None else float(cfg.theta0_pi) * math.pi
 
     if cfg.mode == "soft":
+        _check_full_width(cfg, spec, curves=theta0 is None and spec.n % 2 == 0)
         if spec.n % 2:
             if theta0 is None:
                 cfg.fail(
@@ -452,6 +472,9 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         flags.update(report.flags)
         _write_json(out / "locate.json", report.to_json_dict(), cfg)
 
+    if cfg.mode == "hard":
+        for frag in target_id.fragments():
+            _check_engine_memory(cfg, "depth", frag, "; raise depth")
     prepared = target_id if cfg.mode == "hard" else SubAnsatzId(spec, ())
     slots = FragmentPreparer(prepared).num_params
     if slots == 0:
@@ -547,6 +570,11 @@ def cmd_curves(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     prob = build_problem(cfg)
     spec = dicke_spec_for(prob)
+    if spec.n % 2 or spec.n > vqe.EXACT_PROBABILITY_LIMIT:
+        cfg.fail(
+            ("problem", "n"),
+            f"ratio curves need an even width of at most {vqe.EXACT_PROBABILITY_LIMIT} qubits, got {spec.n}",
+        )
     points = int(cfg.curves.get("points", 21))
     grid = np.linspace(0.0, math.pi, points)
     metrics = vqe.ratio_variance_curves(spec, grid)
@@ -643,6 +671,7 @@ def cmd_study(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     prob = build_problem(cfg)
     spec = dicke_spec_for(prob)
+    _check_full_width(cfg, spec, curves=False)
     slots = build_for(spec).num_params
     st = cfg.study
     alphas = [float(a) for a in st.get("alphas", (0.01, 0.05, 0.1, 0.2))]

@@ -24,13 +24,13 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import qsim
 from .ansatz import DickeSpec, build_for
+from .qsim import bitstrings_of_weight
 
 __all__ = [
     "PartitionSpec",
@@ -219,26 +219,6 @@ def loose_bound_closed(n: int, p: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
-def bitstrings_of_weight(m: int, w: int) -> np.ndarray:
-    """All m-bit integers of Hamming weight w, ascending (read-only array)."""
-    if not 0 <= w <= m:
-        raise ValueError(f"weight {w} outside 0..{m}")
-    count = math.comb(m, w)
-    out = np.empty(count, dtype=np.int64)
-    if w == 0:
-        out[0] = 0
-    else:
-        x = (1 << w) - 1
-        for idx in range(count):
-            out[idx] = x
-            u = x & -x
-            v = x + u
-            x = v + (((v ^ x) // u) >> 2) if v ^ x else v  # Gosper's hack
-    out.setflags(write=False)
-    return out
-
-
 def subansatz_basis_count(sa: SubAnsatzId) -> int:
     return math.prod(math.comb(f.n, f.k) for f in sa.fragments())
 
@@ -317,7 +297,7 @@ class FragmentPreparer:
         self.fragments = sa.fragments()
         self.circuits = [None if f.k in (0, f.n) else build_for(f) for f in self.fragments]
         self.num_params = sum(c.num_params for c in self.circuits if c is not None)
-        self._amplitudes: list[np.ndarray | None] = []
+        self._states: list[qsim.StateVector | None] = []
 
     def split(self, params: Sequence[float]) -> list[np.ndarray]:
         """Cut a flat parameter vector into per-fragment vectors, fragment 0 first."""
@@ -333,47 +313,51 @@ class FragmentPreparer:
     ) -> Counter:
         """Simulate each parameterized fragment once and draw ``shots`` product outcomes.
 
-        The fragments' amplitudes are kept for :meth:`probability_of`. Returns
-        a Counter over full-width basis states.
+        The fragments' states are kept for :meth:`probability_of`. Returns a
+        Counter over full-width basis states, keyed in first-draw order as
+        ``Counter(draws)`` would be.
         """
         if len(params_per_fragment) != len(self.fragments):
             raise ValueError(
                 f"{len(params_per_fragment)} parameter vectors for {len(self.fragments)} fragments"
             )
-        self._amplitudes = []
+        self._states = []
         draws = np.zeros(shots, dtype=np.int64)
         for f, circuit, params in zip(self.fragments, self.circuits, params_per_fragment):
             if circuit is None:
                 if len(params) != 0:
                     raise ValueError(f"fragment D^{f.n}_{f.k} takes no parameters")
-                amps = None
-                frag_draws = np.full(shots, (1 << f.n) - 1 if f.k == f.n else 0, dtype=np.int64)
+                psi = None
+                frag_draws = (1 << f.n) - 1 if f.k == f.n else 0
             else:
                 if len(params) != circuit.num_params:
                     raise ValueError(
                         f"fragment D^{f.n}_{f.k} needs {circuit.num_params} parameters, got {len(params)}"
                     )
                 psi = qsim.simulate(circuit, params)
-                amps = psi.amplitudes
-                probs = np.abs(amps) ** 2
-                probs /= probs.sum()
-                frag_draws = rng.choice(psi.dim, size=shots, p=probs)
-            self._amplitudes.append(amps)
+                frag_draws = qsim.draw(psi, shots, rng)
+            self._states.append(psi)
             draws = (draws << f.n) | frag_draws
-        return Counter(int(b) for b in draws)
+        keys, first, counts = np.unique(draws, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return Counter(dict(zip(keys[order].tolist(), counts[order].tolist())))
 
     def probability_of(self, bits: int) -> float:
         """Born probability of a full-width basis state in the last sampled product."""
         prob = 1.0
         shift = sum(f.n for f in self.fragments)
-        for f, amps in zip(self.fragments, self._amplitudes):
+        for f, psi in zip(self.fragments, self._states):
             shift -= f.n
             frag_bits = (bits >> shift) & ((1 << f.n) - 1)
-            if amps is None:
+            if psi is None:
                 if frag_bits != ((1 << f.n) - 1 if f.k == f.n else 0):
                     return 0.0
                 continue
-            prob *= float(np.abs(amps[frag_bits]) ** 2)
+            i = psi.index_of(frag_bits)
+            if i is None:
+                return 0.0
+            # a scalar ** 2 can round unlike a * a; trace.csv records this form
+            prob *= float(np.abs(psi.values[i]) ** 2)
         return prob
 
 

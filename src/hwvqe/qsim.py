@@ -1,10 +1,9 @@
-"""Dense statevector simulation of parameterized pair-rotation circuits.
+"""Weight-sector simulation of parameterized pair-rotation circuits.
 
 Conventions
 -----------
 A basis state of ``n`` qubits is the integer whose bit ``p`` holds the state of
-qubit ``q_p``; qubit ``q_{n-1}`` is the most significant bit. Amplitudes live
-in a dense complex array of length ``2**n`` indexed by that integer.
+qubit ``q_p``; qubit ``q_{n-1}`` is the most significant bit.
 
 The elementary parameterized operation acts on an adjacent qubit pair
 ``(upper, lower)`` with ``upper = lower + 1`` and rotates only the odd-weight
@@ -14,9 +13,18 @@ subspace of the pair::
     |10> -> sin(theta/2)|01> + cos(theta/2)|10>
 
 ``|00>`` and ``|11>`` are fixed, so the total Hamming weight of every basis
-state in the support is conserved: amplitudes outside the starting weight
-sector stay exactly 0.0, and sampling never draws a state of another weight.
-The two in-place numpy kernels below are the whole engine.
+state is conserved. A circuit started from a basis state therefore only
+reaches the ``C(n, w)`` states of its weight sector, and with real rotations
+from a real start every amplitude is real.
+
+The engine simulates exactly that: the sector's states in ascending order and
+one float64 amplitude each. A circuit is compiled once (cached by circuit)
+into its sector, the index of its start state, one pair of partner tables
+``(i01, i10)`` per lower qubit it uses (the positions of the states whose pair
+reads ``01`` and of their ``10`` partners), and the reordering its trailing X
+layer induces. Each block is then two gathers and two scatters. The dense
+functions (:func:`init_basis`, :func:`apply_v_block`, :func:`apply_circuit`)
+run the same kernel on each populated weight sector of a dense vector.
 """
 
 from __future__ import annotations
@@ -24,26 +32,34 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
-    "MAX_QUBITS",
+    "MAX_PACKED_QUBITS",
+    "MAX_DENSE_QUBITS",
+    "MAX_ENGINE_BYTES",
     "BasisState",
     "StateVector",
     "init_basis",
     "apply_v_block",
     "apply_circuit",
+    "bitstrings_of_weight",
+    "check_engine_memory",
     "simulate",
     "probability_of",
     "support",
+    "draw",
     "sample",
     "hamming_weight",
     "hamming_weight_array",
 ]
 
-MAX_QUBITS = 26  # 2**26 complex128 amplitudes = 1 GiB
+MAX_PACKED_QUBITS = 62  # basis states are bit patterns packed into int64
+MAX_DENSE_QUBITS = 26  # 2**26 complex128 amplitudes = 1 GiB
+MAX_ENGINE_BYTES = 1 << 30  # one sector's amplitudes plus its partner tables
 
 BasisLike = Union[int, "BasisState"]
 
@@ -92,106 +108,242 @@ def _bits_of(b: BasisLike) -> int:
     return b.bits if isinstance(b, BasisState) else int(b)
 
 
-@dataclass
-class StateVector:
-    """Dense amplitude vector over the 2**n computational basis."""
+def _check_n(n: int) -> None:
+    if not 1 <= n <= MAX_PACKED_QUBITS:
+        raise ValueError(f"qubit count {n} outside supported range 1..{MAX_PACKED_QUBITS}")
 
-    num_qubits: int
-    amplitudes: np.ndarray
+
+class StateVector:
+    """Amplitudes of an n-qubit state.
+
+    ``values[i]`` is the amplitude of basis state ``states[i]`` (ascending);
+    every other basis state has amplitude exactly 0.0. A dense vector has
+    ``states`` None and ``values`` over all 2**n states in order.
+    :attr:`amplitudes` is the dense complex128 view, built on first read.
+    """
+
+    def __init__(
+        self,
+        num_qubits: int,
+        amplitudes: Optional[np.ndarray] = None,
+        *,
+        states: Optional[np.ndarray] = None,
+        values: Optional[np.ndarray] = None,
+    ):
+        if (amplitudes is None) == (values is None):
+            raise ValueError("give either dense amplitudes or sector values")
+        self.num_qubits = num_qubits
+        self.states = states
+        self.values = values if amplitudes is None else amplitudes
+        self._dense = amplitudes
 
     @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
+    def amplitudes(self) -> np.ndarray:
+        if self._dense is None:
+            if self.num_qubits > MAX_DENSE_QUBITS:
+                raise ValueError(
+                    f"dense view of {self.num_qubits} qubits needs 2^{self.num_qubits} amplitudes, "
+                    f"limit 2^{MAX_DENSE_QUBITS}"
+                )
+            dense = np.zeros(1 << self.num_qubits, dtype=np.complex128)
+            dense[self.states] = self.values
+            self._dense = dense
+        return self._dense
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
+    def index_of(self, bits: int) -> Optional[int]:
+        """Position of basis state ``bits`` in :attr:`values`, or None if not tracked."""
+        if self.states is None:
+            return bits if 0 <= bits < len(self.values) else None
+        i = int(np.searchsorted(self.states, bits))
+        return i if i < len(self.states) and self.states[i] == bits else None
 
     def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+        return float(np.vdot(self.values, self.values).real)
 
 
-def _check_n(n: int) -> None:
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count {n} outside supported range 1..{MAX_QUBITS}")
+# ---------------------------------------------------------------------------
+# the kernel and its tables
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def bitstrings_of_weight(m: int, w: int) -> np.ndarray:
+    """All m-bit integers of Hamming weight w, ascending (read-only array)."""
+    if not 0 <= w <= m:
+        raise ValueError(f"weight {w} outside 0..{m}")
+    count = math.comb(m, w)
+    out = np.empty(count, dtype=np.int64)
+    if w == 0:
+        out[0] = 0
+    else:
+        x = (1 << w) - 1
+        for idx in range(count):
+            out[idx] = x
+            u = x & -x
+            v = x + u
+            x = v + (((v ^ x) // u) >> 2) if v ^ x else v  # Gosper's hack
+    out.setflags(write=False)
+    return out
+
+
+def _rotate(a: np.ndarray, i01: np.ndarray, i10: np.ndarray, theta: float) -> None:
+    """Rotate the |01>/|10> pairs listed by the partner tables, in place."""
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    a01 = a[i01]
+    a10 = a[i10]
+    a[i01] = c * a01 + s * a10
+    a[i10] = -s * a01 + c * a10
+
+
+def _check_sector(n: int, w: int, lowers: Sequence[int]) -> None:
+    """Refuse a sector whose float64 amplitudes plus int64 partner tables exceed the cap.
+
+    Each lower qubit's two tables list the C(n-2, w-1) states whose pair reads
+    01 and their partners.
+    """
+    _check_n(n)
+    pairs = math.comb(n - 2, w - 1) if n >= 2 and w >= 1 else 0
+    need = 8 * math.comb(n, w) + 16 * pairs * len(lowers)
+    if need > MAX_ENGINE_BYTES:
+        raise ValueError(
+            f"the weight-{w} sector of {n} qubits has {math.comb(n, w)} states and needs "
+            f"{need / 2**20:.0f} MiB with its partner tables, above the "
+            f"{MAX_ENGINE_BYTES >> 20} MiB engine cap"
+        )
+
+
+def check_engine_memory(circuit) -> None:
+    """Refuse, before allocating anything, a circuit whose sector exceeds ``MAX_ENGINE_BYTES``."""
+    _check_sector(circuit.num_qubits, hamming_weight(_mask(circuit.x_placements)), _lowers(circuit))
+
+
+_Partners = dict[int, tuple[np.ndarray, np.ndarray]]  # lower qubit -> (i01, i10)
+
+
+@lru_cache(maxsize=16)
+def _tables(n: int, w: int, lowers: tuple[int, ...]) -> tuple[np.ndarray, _Partners]:
+    """The weight-w states of n bits, ascending, and each lower qubit's partner tables."""
+    _check_sector(n, w, lowers)
+    states = bitstrings_of_weight(n, w)
+    partners = {}
+    for lower in lowers:
+        i01 = np.flatnonzero(((states >> lower) & 3) == 1)
+        i10 = np.searchsorted(states, states[i01] ^ (3 << lower))
+        partners[lower] = (i01, i10)
+    return states, partners
+
+
+def _mask(qubits: Sequence[int]) -> int:
+    m = 0
+    for q in qubits:
+        m ^= 1 << q
+    return m
+
+
+def _lowers(circuit) -> tuple[int, ...]:
+    return tuple(sorted({lower for _, lower, _ in circuit.blocks}))
+
+
+@lru_cache(maxsize=16)
+def _compile(circuit) -> tuple[int, tuple, np.ndarray, Optional[np.ndarray]]:
+    """A circuit on its weight sector: the start state's index, one ``(i01, i10,
+    slot)`` per block, the output states (ascending), and the output-to-sector
+    positions when ``post_x`` reorders them (flipping every qubit reverses the
+    order; any other mask permutes it)."""
+    start = _mask(circuit.x_placements)
+    sector, partners = _tables(circuit.num_qubits, hamming_weight(start), _lowers(circuit))
+    blocks = tuple((*partners[lower], slot) for _, lower, slot in circuit.blocks)
+    flip = _mask(circuit.post_x)
+    order = None
+    states = sector
+    if flip:
+        flipped = sector ^ flip
+        order = np.argsort(flipped, kind="stable")
+        states = flipped[order]
+        states.setflags(write=False)
+    return int(np.searchsorted(sector, start)), blocks, states, order
+
+
+def _check_params(circuit, params: Sequence[float]) -> None:
+    if len(params) != len(circuit.blocks):
+        raise ValueError(f"{len(params)} parameters for {len(circuit.blocks)} blocks")
+
+
+def simulate(circuit, params: Sequence[float]) -> StateVector:
+    """Run ``circuit`` from |0...0> on its weight sector."""
+    start, blocks, states, order = _compile(circuit)
+    _check_params(circuit, params)
+    a = np.zeros(len(states), dtype=np.float64)
+    a[start] = 1.0
+    for i01, i10, slot in blocks:
+        _rotate(a, i01, i10, float(params[slot]))
+    if order is not None:
+        a = a[order]
+    return StateVector(circuit.num_qubits, states=states, values=a)
+
+
+# ---------------------------------------------------------------------------
+# dense entry points
+# ---------------------------------------------------------------------------
 
 
 def init_basis(n: int, b: BasisLike) -> StateVector:
-    """Statevector with amplitude 1 on basis state ``b``."""
+    """State with amplitude 1 on basis state ``b``."""
     _check_n(n)
     bits = _bits_of(b)
     if not 0 <= bits < (1 << n):
         raise ValueError(f"basis state {bits} out of range for {n} qubits")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[bits] = 1.0
+    return StateVector(n, states=np.array([bits], dtype=np.int64), values=np.ones(1))
+
+
+def _apply_dense(
+    s: StateVector, pre: int, rotations: Sequence[tuple[int, float]], post: int
+) -> StateVector:
+    """XOR-gather by ``pre``, rotate each populated weight sector, XOR-gather by ``post``."""
+    n = s.num_qubits
+    index = np.arange(1 << n, dtype=np.int64)
+    amps = s.amplitudes[index ^ pre]
+    lowers = tuple(sorted({lower for lower, _ in rotations}))
+    for w in np.unique(hamming_weight_array(np.flatnonzero(amps))):
+        sector, partners = _tables(n, int(w), lowers)
+        vec = amps[sector]
+        for lower, theta in rotations:
+            _rotate(vec, *partners[lower], theta)
+        amps[sector] = vec
+    if post:
+        amps = amps[index ^ post]
     return StateVector(n, amps)
 
 
-def _kernel_v(amps: np.ndarray, lower: int, c: float, s: float) -> None:
-    """Rotate the |01>/|10> subspace of the adjacent pair (lower+1, lower)."""
-    n_low = 1 << lower
-    view = amps.reshape(-1, 4, n_low)  # middle axis index = 2*bit(lower+1) + bit(lower)
-    a01 = view[:, 1, :].copy()
-    a10 = view[:, 2, :]
-    view[:, 1, :] = c * a01 + s * a10
-    view[:, 2, :] = -s * a01 + c * a10
-
-
-def _kernel_x(amps: np.ndarray, qubit: int) -> None:
-    """Flip one qubit: swap amplitudes of every index pair differing in it."""
-    n_low = 1 << qubit
-    view = amps.reshape(-1, 2, n_low)
-    view[:, :, :] = view[:, ::-1, :].copy()
-
-
-def _apply_v_inplace(amps: np.ndarray, lower: int, theta: float) -> None:
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    _kernel_v(amps, lower, c, s)
-
-
 def apply_v_block(s: StateVector, upper: int, lower: int, theta: float) -> StateVector:
-    """Apply one pair rotation on the adjacent pair (upper, lower); returns a new vector."""
+    """Apply one pair rotation on the adjacent pair (upper, lower); returns a new dense vector."""
     if upper != lower + 1:
         raise ValueError(f"pair ({upper},{lower}) is not adjacent with upper = lower+1")
     if not 0 <= lower < upper <= s.num_qubits - 1:
         raise ValueError(f"pair ({upper},{lower}) out of range for {s.num_qubits} qubits")
-    out = s.copy()
-    _apply_v_inplace(out.amplitudes, lower, theta)
-    return out
-
-
-def _apply_circuit_inplace(amps: np.ndarray, n: int, circuit, params: Sequence[float]) -> None:
-    if circuit.num_qubits != n:
-        raise ValueError(f"circuit acts on {circuit.num_qubits} qubits, state has {n}")
-    nslots = len(circuit.blocks)
-    if len(params) != nslots:
-        raise ValueError(f"{len(params)} parameters for {nslots} blocks")
-    for q in circuit.x_placements:
-        _kernel_x(amps, q)
-    for upper, lower, slot in circuit.blocks:
-        _apply_v_inplace(amps, lower, float(params[slot]))
-    for q in circuit.post_x:
-        _kernel_x(amps, q)
+    return _apply_dense(s, 0, [(lower, float(theta))], 0)
 
 
 def apply_circuit(s: StateVector, circuit, params: Sequence[float]) -> StateVector:
-    """Apply X placements, blocks in order, then any trailing X layer; returns a new vector."""
-    out = s.copy()
-    _apply_circuit_inplace(out.amplitudes, out.num_qubits, circuit, params)
-    return out
+    """Apply X placements, blocks in order, then any trailing X layer; returns a new dense vector."""
+    if circuit.num_qubits != s.num_qubits:
+        raise ValueError(f"circuit acts on {circuit.num_qubits} qubits, state has {s.num_qubits}")
+    _check_params(circuit, params)
+    rotations = [(lower, float(params[slot])) for _, lower, slot in circuit.blocks]
+    return _apply_dense(s, _mask(circuit.x_placements), rotations, _mask(circuit.post_x))
 
 
-def simulate(circuit, params: Sequence[float]) -> StateVector:
-    """Run ``circuit`` from |0...0>."""
-    _check_n(circuit.num_qubits)
-    amps = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    _apply_circuit_inplace(amps, circuit.num_qubits, circuit, params)
-    return StateVector(circuit.num_qubits, amps)
+# ---------------------------------------------------------------------------
+# reading a state
+# ---------------------------------------------------------------------------
 
 
 def probability_of(s: StateVector, b: BasisLike) -> float:
-    a = s.amplitudes[_bits_of(b)]
+    i = s.index_of(_bits_of(b))
+    if i is None:
+        return 0.0
+    a = s.values[i]
     return float((a * a.conjugate()).real)
 
 
@@ -199,8 +351,18 @@ def support(s: StateVector, eps: float = 1e-12) -> set[int]:
     """All basis states with probability above ``eps``."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    probs = np.abs(s.amplitudes) ** 2
-    return set(int(b) for b in np.flatnonzero(probs > eps))
+    hits = np.flatnonzero(np.abs(s.values) ** 2 > eps)
+    if s.states is not None:
+        hits = s.states[hits]
+    return set(int(b) for b in hits)
+
+
+def draw(s: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """``shots`` i.i.d. basis states from the Born distribution, in draw order."""
+    probs = np.abs(s.values) ** 2
+    probs /= probs.sum()
+    picks = rng.choice(len(probs), size=shots, p=probs)
+    return picks if s.states is None else s.states[picks]
 
 
 def sample(
@@ -218,7 +380,4 @@ def sample(
         raise ValueError("shots must be >= 1")
     if rng is None:
         rng = np.random.default_rng(seed)
-    probs = np.abs(s.amplitudes) ** 2
-    probs /= probs.sum()
-    draws = rng.choice(s.dim, size=shots, p=probs)
-    return Counter(int(b) for b in draws)
+    return Counter(int(b) for b in draw(s, shots, rng))

@@ -129,7 +129,13 @@ class CorrelationSchedule:
 
 
 def cvar(energies: np.ndarray, alpha: float) -> float:
-    """Mean of the ceil(alpha * K) smallest energies."""
+    """Mean of the ceil(alpha * K) smallest energies.
+
+    The result's last bits depend on the order of ``energies``, because
+    ``np.partition`` leaves the kept ones in an order set by the input and the
+    mean sums them in that order; the optimizer therefore passes its outcomes
+    in first-draw order (:meth:`~hwvqe.partition.FragmentPreparer.sample`).
+    """
     e = np.asarray(energies, dtype=np.float64).ravel()
     if e.size == 0:
         raise ValueError("empty energy multiset")
@@ -193,11 +199,6 @@ def ratio_variance_curves(spec: DickeSpec, grid: Sequence[float]) -> PrincipalCo
         raise ValueError(f"exact metrics limited to {EXACT_PROBABILITY_LIMIT} qubits, got {n}")
     circuit = build_for(spec)
     half = n // 2
-    idx = np.arange(1 << n, dtype=np.int64)
-    upper = hamming_weight_array(idx >> half)
-    total = hamming_weight_array(idx)
-    support = total == k
-    groups = upper[support]
 
     lo = max(0, k - half)
     hi = min(k, half)
@@ -210,8 +211,8 @@ def ratio_variance_curves(spec: DickeSpec, grid: Sequence[float]) -> PrincipalCo
     variances = np.zeros_like(ratios)
     for g, theta in enumerate(thetas):
         psi = qsim.simulate(circuit, np.full(circuit.num_params, theta))
-        probs = np.abs(psi.amplitudes) ** 2
-        p_sup = probs[support]
+        groups = hamming_weight_array(psi.states >> half)  # each sector state's upper-half weight
+        p_sup = np.abs(psi.values) ** 2
         mass = np.bincount(groups - lo, weights=p_sup, minlength=sizes.size)
         mass_sq = np.bincount(groups - lo, weights=p_sup**2, minlength=sizes.size)
         ratios[g] = mass

@@ -18,13 +18,14 @@ def exact_minimum(problem, n=None, k=None):
     return int(states[pos]), float(energies[pos])
 
 
-def sparse_simulate(circuit, params):
+def sparse_simulate(circuit, params, start=0):
     """Dict-based reference simulator applying the pair-rotation rule directly.
 
-    Independent of the dense engine: tracks {basis int: amplitude} and applies
-    |01> -> c|01> - s|10>, |10> -> s|01> + c|10> per block, X flips as XORs.
+    Independent of the engine: tracks {basis int: amplitude} from basis state
+    ``start`` and applies |01> -> c|01> - s|10>, |10> -> s|01> + c|10> per
+    block, X flips as XORs.
     """
-    state = {0: 1.0 + 0.0j}
+    state = {start: 1.0 + 0.0j}
 
     def flip(q):
         return {b ^ (1 << q): a for b, a in state.items()}

@@ -169,6 +169,10 @@ def test_build_for_dispatch_and_validation():
         build_straight(DickeSpec(4, 0))
     with pytest.raises(ValueError):
         build_straight(DickeSpec(4, 4))
+    with pytest.raises(ValueError, match="1 <= k <= n/2"):
+        build_straight(DickeSpec(3, 2))  # its flips would be on qubits 1 and -1
+    with pytest.raises(ValueError, match="X on qubit -1"):
+        circuit_from_text("3 1 straight\nx -1\n")
     with pytest.raises(ValueError):
         conjugate_form(DickeSpec(6, 3))
     with pytest.raises(ValueError):

@@ -156,6 +156,42 @@ def test_width_beyond_int64_packing_is_a_config_error(tmp_path, capsys, command)
     assert "62-qubit limit of int64 bit packing" in err
 
 
+@pytest.mark.parametrize(
+    "width, budget, theta0_pi, message",
+    [
+        # theta0 from the ratio curves, which are exact only up to 20 qubits
+        (22, 11, None, "theta0 from the exact ratio curves needs at most 20 qubits, got 22"),
+        # D^28_14: amplitudes plus partner tables above the engine's memory cap
+        (28, 14, 0.65, "the weight-14 sector of 28 qubits has 40116600 states and needs"),
+    ],
+    ids=["curves-22", "engine-cap-28"],
+)
+def test_soft_width_limits_cite_the_problem_n_line(tmp_path, capsys, width, budget, theta0_pi, message):
+    doc = json.loads(load_config("portfolio12").raw_text)
+    doc["problem"].update(n=width, budget=budget)
+    doc.pop("theta0_pi")
+    if theta0_pi is not None:
+        doc["theta0_pi"] = theta0_pi
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc, indent=2))
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    n_line = path.read_text().splitlines().index(f'    "n": {width},') + 1
+    assert f"{path}:{n_line}: {message}" in err
+    assert not (tmp_path / "out" / "locate.json").exists()  # refused before location
+
+
+@pytest.mark.parametrize("width, budget", [(22, 11), (11, 5)], ids=["wide", "odd"])
+def test_curves_width_limits_cite_the_problem_n_line(tmp_path, capsys, width, budget):
+    path = _write_config(tmp_path, problem={"kind": "synth-portfolio", "n": width, "seed": 4, "budget": budget})
+    rc = main(["curves", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    n_line = path.read_text().splitlines().index(f'    "n": {width},') + 1
+    err = capsys.readouterr().err
+    assert f"{path}:{n_line}: ratio curves need an even width of at most 20 qubits, got {width}" in err
+
+
 def test_portfolio_file_budget_error_cites_the_path_line(tmp_path, capsys):
     instance = tmp_path / "p.json"
     p = synth_assets(8, 3)

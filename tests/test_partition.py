@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hwvqe.ansatz import DickeSpec, build_for
 from hwvqe.partition import (
+    FragmentPreparer,
     PartitionTree,
     SubAnsatzId,
     bitstrings_of_weight,
@@ -248,6 +250,25 @@ def test_run_subansatz_fixed_fragments_need_no_params(rng):
     assert counts == {0b11110000: 50}
     with pytest.raises(ValueError):
         run_subansatz(sa, [[0.3], []], shots=10, seed=1)
+
+
+@pytest.mark.parametrize("levels", [(), ((2,),)], ids=["soft-one-fragment", "hard-two-fragments"])
+def test_sample_keeps_counter_first_draw_order(rng, levels):
+    # cvar's partition and mean see the batch in this order, so it is part of the contract
+    sa = SubAnsatzId(DickeSpec(8, 4), levels)
+    preparer = FragmentPreparer(sa)
+    params = preparer.split(rng.uniform(0.4, 2.7, size=preparer.num_params))
+    got = preparer.sample(params, 300, np.random.default_rng(17))
+
+    stream = np.random.default_rng(17)
+    draws = np.zeros(300, dtype=np.int64)
+    for f, p in zip(sa.fragments(), params):
+        psi = simulate(build_for(f), p)
+        probs = np.abs(psi.values) ** 2
+        draws = (draws << f.n) | psi.states[stream.choice(len(probs), size=300, p=probs / probs.sum())]
+    expected = Counter(int(b) for b in draws)
+    assert list(got.items()) == list(expected.items())
+    assert list(got) != sorted(got)  # first-draw order, not np.unique's sorted order
 
 
 def test_entanglement_entropy_binary_values():

@@ -1,18 +1,23 @@
-"""Statevector engine: pair-rotation action, sampling, weight bookkeeping."""
+"""Weight-sector engine: pair-rotation action, sampling, weight bookkeeping."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hwvqe import qsim
-from hwvqe.ansatz import DickeSpec, build_folded, build_straight
+from conftest import sparse_simulate
+
+from hwvqe.ansatz import Circuit, DickeSpec, build_folded, build_for, build_straight, conjugate_form
 from hwvqe.qsim import (
+    MAX_ENGINE_BYTES,
+    MAX_PACKED_QUBITS,
     BasisState,
-    MAX_QUBITS,
     StateVector,
     apply_circuit,
     apply_v_block,
+    check_engine_memory,
     hamming_weight_array,
     init_basis,
     probability_of,
@@ -89,7 +94,7 @@ def test_init_basis_and_range_checks():
     with pytest.raises(ValueError):
         init_basis(3, 8)
     with pytest.raises(ValueError):
-        init_basis(MAX_QUBITS + 1, 0)
+        init_basis(MAX_PACKED_QUBITS + 1, 0)
     with pytest.raises(ValueError):
         init_basis(0, 0)
 
@@ -140,11 +145,13 @@ def test_sample_frequencies_track_born_rule():
 
 
 def test_kernels_match_dense_matrix_reference(rng):
-    # each kernel against the full 2^n x 2^n matrix of its gate, built from the rule
+    # apply_v_block and the X layers of apply_circuit against the full 2^n x 2^n
+    # matrix of each gate, built from the rule, on a state spanning every weight
     n = 6
     dim = 1 << n
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     amps /= np.linalg.norm(amps)
+    state = StateVector(n, amps.copy())
     for lower in range(n - 1):
         theta = rng.uniform(0, 2 * math.pi)
         c, s = math.cos(theta / 2), math.sin(theta / 2)
@@ -155,11 +162,77 @@ def test_kernels_match_dense_matrix_reference(rng):
                 partner = b ^ (0b11 << lower)
                 matrix[b, b] = c
                 matrix[partner, b] = -s if pair == 0b01 else s
-        out = amps.copy()
-        qsim._kernel_v(out, lower, c, s)
+        out = apply_v_block(state, lower + 1, lower, theta).amplitudes
         assert np.allclose(out, matrix @ amps, atol=1e-15)
+    assert np.array_equal(state.amplitudes, amps)  # the input is left as it was
     for q in range(n):
-        out = amps.copy()
-        qsim._kernel_x(out, q)
-        flipped = np.arange(dim) ^ (1 << q)
-        assert np.array_equal(out, amps[flipped])
+        matrix = np.eye(dim)[np.arange(dim) ^ (1 << q)]
+        for flip in (Circuit(n, 1, "straight", (q,), ()), Circuit(n, 1, "straight", (), (), post_x=(q,))):
+            assert np.array_equal(apply_circuit(state, flip, []).amplitudes, matrix @ amps)
+
+
+def test_simulate_tracks_only_the_weight_sector():
+    # D^28_1: 28 states, far below the engine cap; the dense view keeps its own 2^n limit
+    circuit = build_for(DickeSpec(28, 1))
+    psi = simulate(circuit, np.full(circuit.num_params, 1.1))
+    assert psi.states.tolist() == [1 << q for q in range(28)]
+    assert abs(psi.norm_sq() - 1.0) < 1e-12
+    assert sum(probability_of(psi, 1 << q) for q in range(28)) == pytest.approx(1.0, abs=1e-12)
+    assert probability_of(psi, 0b11) == 0.0
+    with pytest.raises(ValueError, match=r"2\^28 amplitudes"):
+        psi.amplitudes
+
+
+def test_engine_memory_cap_refuses_large_sectors_before_allocating():
+    # D^28_14: 40,116,600 states, whose amplitudes and partner tables need about 4.8 GB
+    circuit = build_for(DickeSpec(28, 14))
+    assert 8 * math.comb(28, 14) < MAX_ENGINE_BYTES  # the amplitudes alone would fit
+    with pytest.raises(ValueError, match=r"weight-14 sector of 28 qubits has 40116600 states"):
+        check_engine_memory(circuit)
+    with pytest.raises(ValueError, match=r"40116600 states and needs \d+ MiB"):
+        simulate(circuit, np.zeros(circuit.num_params))
+
+
+@st.composite
+def _circuit_params_start(draw):
+    n = draw(st.integers(2, 12))
+    structure = draw(st.sampled_from(["straight", "folded", "conjugate"]))
+    if structure == "straight":
+        circuit = build_straight(DickeSpec(n, draw(st.integers(1, n // 2))))
+    elif structure == "folded":
+        circuit = build_folded(DickeSpec(n, draw(st.integers(1, n // 2))))
+    else:
+        circuit = conjugate_form(DickeSpec(n, draw(st.integers(n // 2 + 1, n))))
+    angle = st.floats(0.0, 2 * math.pi, allow_nan=False)
+    params = draw(st.lists(angle, min_size=circuit.num_params, max_size=circuit.num_params))
+    return circuit, np.array(params, dtype=np.float64), draw(st.integers(0, (1 << n) - 1))
+
+
+def _assert_matches_reference(amps, reference, weight):
+    n = amps.size.bit_length() - 1
+    nonzero = {b for b, a in reference.items() if abs(a) ** 2 > 1e-24}
+    assert support(StateVector(n, amps), eps=1e-24) == nonzero
+    for b, a in reference.items():
+        assert abs(amps[b] - a) <= 1e-12
+    outside = hamming_weight_array(np.arange(1 << n)) != weight
+    assert np.all(amps[outside] == 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(case=_circuit_params_start())
+def test_engine_matches_sparse_reference(case):
+    circuit, params, start = case
+    n = circuit.num_qubits
+    psi = simulate(circuit, params)
+    assert np.all(hamming_weight_array(psi.states) == circuit.k)
+    assert np.all(np.diff(psi.states) > 0)  # ascending, which probability_of's search relies on
+    reference = sparse_simulate(circuit, params)
+    _assert_matches_reference(psi.amplitudes, reference, circuit.k)
+    for b, a in reference.items():
+        assert abs(probability_of(psi, b) - abs(a) ** 2) <= 1e-12
+
+    # apply_circuit from any basis state stays in that state's weight sector
+    out = apply_circuit(init_basis(n, start), circuit, params)
+    pre, post = (sum(1 << q for q in layer) for layer in (circuit.x_placements, circuit.post_x))
+    weight = (start ^ pre ^ post).bit_count()
+    _assert_matches_reference(out.amplitudes, sparse_simulate(circuit, params, start), weight)
