@@ -17,11 +17,12 @@ identical config + seed reproduces byte-identical files. Exit codes: 0 done,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, Sequence
@@ -33,8 +34,8 @@ from .ansatz import DickeSpec, build_for, circuit_to_text
 from .partition import (
     FragmentPreparer,
     SubAnsatzId,
-    bitstrings_of_weight,
     child_count,
+    child_weight,
     format_id,
     subansatz_basis_count,
 )
@@ -98,7 +99,7 @@ def _line_of(raw: str, path: tuple[str, ...]) -> Optional[int]:
 class RunConfig:
     """Validated run description (see ``configs/`` for complete examples)."""
 
-    problem: dict[str, Any]
+    problem: dict[str, Any] = field(default_factory=dict)
     mode: str = "soft"
     depth: int = 2
     reorder: str = "auto"
@@ -120,37 +121,30 @@ class RunConfig:
         raise ConfigError(f"{where}: {message}")
 
     def resolved(self) -> dict[str, Any]:
-        return {
-            "problem": self.problem,
-            "mode": self.mode,
-            "depth": self.depth,
-            "reorder": self.reorder,
-            "theta0_pi": self.theta0_pi,
-            "cvar": self.cvar,
-            "schedule": self.schedule,
-            "curves": self.curves,
-            "study": self.study,
-            "cap": self.cap,
-            "seed": self.seed,
-        }
+        """The settings a run's artifacts embed: every config key but ``out``."""
+        return {name: getattr(self, name) for name in _KNOWN_KEYS if name != "out"}
 
 
-_KNOWN_KEYS = {
-    "problem",
-    "mode",
-    "depth",
-    "reorder",
-    "theta0_pi",
-    "cvar",
-    "schedule",
-    "curves",
-    "study",
-    "cap",
-    "seed",
-    "out",
+_BOOKKEEPING = ("source_path", "raw_text")  # set by load_config, not by the config
+_KNOWN_KEYS = tuple(f.name for f in fields(RunConfig) if f.name not in _BOOKKEEPING)
+
+# per problem kind: the keys it requires, then the ones it may also take
+_PROBLEM_KEYS = {
+    "synth-portfolio": (("n", "seed"), ("q", "budget")),
+    "csv-portfolio": (("path",), ("q", "budget")),
+    "portfolio-file": (("path",), ()),
+    "synth-graph": (("n", "p_edge", "seed_graph", "seed_weights"), ("offset", "fixed_top_bit")),
+    "graph-file": (("path",), ()),
 }
+_PROBLEM_KINDS = tuple(_PROBLEM_KEYS)
 
-_PROBLEM_KINDS = ("synth-portfolio", "csv-portfolio", "portfolio-file", "synth-graph", "graph-file")
+# the keys each of the other sections reads
+_SECTION_KEYS = {
+    "cvar": ("alpha_start", "alpha_cap", "shots"),
+    "schedule": ("counts", "epochs", "rho_pi"),
+    "curves": ("points",),
+    "study": ("alphas", "betas", "seeds", "epochs", "shots"),
+}
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -173,22 +167,8 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}:1: top level must be an object")
 
-    cfg = RunConfig(
-        problem=doc.get("problem", {}),
-        mode=doc.get("mode", "soft"),
-        depth=doc.get("depth", 2),
-        reorder=doc.get("reorder", "auto"),
-        theta0_pi=doc.get("theta0_pi"),
-        cvar=doc.get("cvar", {}),
-        schedule=doc.get("schedule", {}),
-        curves=doc.get("curves", {}),
-        study=doc.get("study", {}),
-        cap=doc.get("cap", locate.DEFAULT_CAP),
-        seed=doc.get("seed", 0),
-        out=doc.get("out"),
-        source_path=source,
-        raw_text=raw,
-    )
+    known = {key: value for key, value in doc.items() if key in _KNOWN_KEYS}
+    cfg = RunConfig(**known, source_path=source, raw_text=raw)
     _validate(cfg, doc)
     return cfg
 
@@ -218,9 +198,13 @@ def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
     for key in doc:
         if key not in _KNOWN_KEYS:
             cfg.fail(key, f"unknown key {key!r}")
-    for section in ("problem", "cvar", "schedule", "curves", "study"):
+    for section in ("problem", *_SECTION_KEYS):
         if not isinstance(getattr(cfg, section), dict):
             cfg.fail(section, f"{section} section must be an object")
+    for section, keys in _SECTION_KEYS.items():
+        for key in getattr(cfg, section):
+            if key not in keys:
+                cfg.fail((section, key), f"unknown key {key!r} in {section}; it reads {', '.join(keys)}")
 
     def expect(path: tuple[str, ...], test: Callable[[Any], bool], what: str) -> None:
         """Fail at the key unless its value, when present, passes ``test``."""
@@ -233,21 +217,20 @@ def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
     kind = cfg.problem["kind"]
     if kind not in _PROBLEM_KINDS:
         cfg.fail(("problem", "kind"), f"problem kind {kind!r} not one of {_PROBLEM_KINDS}")
-    needed = {
-        "synth-portfolio": ["n", "seed"],
-        "csv-portfolio": ["path"],
-        "portfolio-file": ["path"],
-        "synth-graph": ["n", "p_edge", "seed_graph", "seed_weights"],
-        "graph-file": ["path"],
-    }[kind]
+    needed, optional = _PROBLEM_KEYS[kind]
     for field_name in needed:
         if field_name not in cfg.problem:
             cfg.fail("problem", f"problem kind {kind!r} requires field {field_name!r}")
+    for key in cfg.problem:
+        if key not in ("kind", *needed, *optional):
+            why = "; a portfolio file sets its own budget as 'xi'" if key == "budget" else ""
+            cfg.fail(("problem", key), f"problem kind {kind!r} takes no key {key!r}{why}")
     for name in ("n", "seed", "budget", "seed_graph", "seed_weights"):
         expect(("problem", name), _is_int, "an integer")
     for name in ("q", "p_edge", "offset"):
         expect(("problem", name), _is_real, "a number")
     expect(("problem", "path"), lambda v: isinstance(v, str), "a path string")
+    expect(("problem", "fixed_top_bit"), lambda v: isinstance(v, bool), "true or false")
 
     if cfg.mode not in ("soft", "hard"):
         cfg.fail("mode", f"mode {cfg.mode!r} not one of ('soft', 'hard')")
@@ -317,7 +300,7 @@ def build_problem(cfg: RunConfig, packed: bool = True):
             int(spec["seed_graph"]),
             int(spec["seed_weights"]),
             offset=float(spec.get("offset", 0.0)),
-            fixed_top_bit=bool(spec.get("fixed_top_bit", False)),
+            fixed_top_bit=spec.get("fixed_top_bit", False),
         )
     else:
         prob = load_graph(spec["path"])
@@ -578,9 +561,8 @@ def cmd_curves(cfg: RunConfig, args) -> int:
     points = int(cfg.curves.get("points", 21))
     grid = np.linspace(0.0, math.pi, points)
     metrics = vqe.ratio_variance_curves(spec, grid)
-    lo = max(0, spec.k - spec.n // 2)
-    hi = min(spec.k, spec.n // 2)
-    interior = [i for i in range(lo, hi + 1) if 0 < i < spec.k]
+    lo = child_weight(spec, 0)
+    interior = [i for i in range(lo, lo + child_count(spec)) if 0 < i < spec.k]
     lines = [_header_lines(cfg).rstrip("\n")]
     lines.append(
         "theta,"
@@ -647,26 +629,6 @@ def cmd_interpolate(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _study_cell(payload: tuple) -> tuple[tuple[float, int], list[list[float]]]:
-    cfg_doc, alpha, beta, seeds, epochs, shots, theta0 = payload
-    cfg = RunConfig(**cfg_doc)
-    prob = build_problem(cfg)
-    spec = dicke_spec_for(prob)
-    traces = []
-    for seed in seeds:
-        _, _, rows = vqe.optimize(
-            prob,
-            spec,
-            mode="soft",
-            theta0=theta0,
-            cvar_cfg=vqe.CVaRConfig(alpha=alpha, shots=shots),
-            schedule=vqe.CorrelationSchedule(counts=(beta,), epochs=(epochs,), rho=(0.15 * np.pi,)),
-            seed=seed,
-        )
-        traces.append([r.expectation for r in rows])
-    return (alpha, beta), traces
-
-
 def cmd_study(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     prob = build_problem(cfg)
@@ -676,28 +638,22 @@ def cmd_study(cfg: RunConfig, args) -> int:
     st = cfg.study
     alphas = [float(a) for a in st.get("alphas", (0.01, 0.05, 0.1, 0.2))]
     betas = sorted({min(int(b), slots) for b in st.get("betas", (1, 10, 20, 40))})
-    num_seeds = int(st.get("seeds", 20))
-    epochs = int(st.get("epochs", 80))
-    shots = int(st.get("shots", 1024))
+    seeds = [cfg.seed + i for i in range(int(st.get("seeds", 20)))]
     theta0 = (cfg.theta0_pi if cfg.theta0_pi is not None else 0.8) * math.pi
-    seeds = [cfg.seed + i for i in range(num_seeds)]
-
-    cfg_doc = {k: getattr(cfg, k) for k in (
-        "problem", "mode", "depth", "reorder", "theta0_pi", "cvar", "schedule",
-        "curves", "study", "cap", "seed", "out", "source_path", "raw_text",
-    )}
-    payloads = [(cfg_doc, a, b, seeds, epochs, shots, theta0) for a in alphas for b in betas]
-    results: dict[tuple[float, int], list[list[float]]] = {}
-    if args.jobs and args.jobs > 1:
+    study = functools.partial(
+        vqe.bounded_cvar_study, prob, spec, seeds=seeds, epochs=int(st.get("epochs", 80)),
+        shots=int(st.get("shots", 1024)), theta0=theta0,
+    )
+    # one (alpha, beta) cell per call
+    alpha_args, beta_args = zip(*[((a,), (b,)) for a in alphas for b in betas])
+    if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only study needs it; keeps import light
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for key, traces in pool.map(_study_cell, payloads):
-                results[key] = traces
+            tables = list(pool.map(study, alpha_args, beta_args))
     else:
-        for payload in payloads:
-            key, traces = _study_cell(payload)
-            results[key] = traces
+        tables = list(map(study, alpha_args, beta_args))
+    results = {key: traces for table in tables for key, traces in table.items()}
 
     lines = [_header_lines(cfg).rstrip("\n"), "alpha,beta,seed,epoch,expectation"]
     for (alpha, beta) in sorted(results):
@@ -725,12 +681,8 @@ def cmd_bruteforce(cfg: RunConfig, args) -> int:
     count = math.comb(spec.n, spec.k)
     if count > cfg.cap:
         cfg.fail("cap", f"brute force over {count} states exceeds cap {cfg.cap}")
-    cost = batch_evaluator(prob)
-    states = bitstrings_of_weight(spec.n, spec.k).astype(np.int64)
-    energies = cost(states)
-    pos = int(np.argmin(energies))
-    bits = lift_bits(prob, int(states[pos]))
-    energy = float(energies[pos])
+    best, energy = locate.subspace_min(SubAnsatzId(spec, ()), batch_evaluator(prob), cfg.cap)
+    bits = lift_bits(prob, best.bits)
     _write_json(
         out / "bruteforce.json",
         {
@@ -747,7 +699,7 @@ def cmd_bruteforce(cfg: RunConfig, args) -> int:
 def cmd_gen_data(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
-    prob = build_problem(RunConfig(**{**cfg.__dict__, "reorder": "none"}), packed=False)
+    prob = build_problem(replace(cfg, reorder="none"), packed=False)
     if isinstance(prob, PortfolioProblem):
         save_portfolio(prob, out / "portfolio.json")
         written = [out / "portfolio.json"]
@@ -782,6 +734,16 @@ def _write_prices_csv(cfg: RunConfig, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+_COMMANDS = {
+    "solve": (cmd_solve, "locate, optimize, refine; write solution artifacts"),
+    "curves": (cmd_curves, "per-sub-ansatz ratio/variance curves over a theta grid"),
+    "interpolate": (cmd_interpolate, "outer-cell minima, fitted curve, and true polyline"),
+    "study": (cmd_study, "fixed-(alpha, beta) convergence grid over seeds"),
+    "bruteforce": (cmd_bruteforce, "exact minimum over the full feasible set"),
+    "gen-data": (cmd_gen_data, "materialize the configured problem instance"),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hwvqe",
@@ -789,33 +751,20 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hwvqe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "locate, optimize, refine; write solution artifacts"),
-        ("curves", "per-sub-ansatz ratio/variance curves over a theta grid"),
-        ("interpolate", "outer-cell minima, fitted curve, and true polyline"),
-        ("study", "fixed-(alpha, beta) convergence grid over seeds"),
-        ("bruteforce", "exact minimum over the full feasible set"),
-        ("gen-data", "materialize the configured problem instance"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="config file path or bundled name")
         sp.add_argument("--seed", type=int, default=None, help="override the master seed")
-        sp.add_argument("--jobs", type=int, default=1, help="worker processes for fan-out")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument(
-            "--dump-circuit", action="store_true", help="also write the ansatz circuit text"
-        )
+        if name == "solve":
+            sp.add_argument(
+                "--dump-circuit", action="store_true", help="also write the ansatz circuit text"
+            )
+        if name == "study":
+            sp.add_argument(
+                "--jobs", type=int, default=1, help="worker processes, one (alpha, beta) cell each"
+            )
     return parser
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "curves": cmd_curves,
-    "interpolate": cmd_interpolate,
-    "study": cmd_study,
-    "bruteforce": cmd_bruteforce,
-    "gen-data": cmd_gen_data,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -823,15 +772,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.seed is not None and args.seed < 0:
         print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
         return 1
+    if getattr(args, "jobs", 1) < 1:
+        print(f"error: --jobs must be a positive integer, got {args.jobs}", file=sys.stderr)
+        return 1
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        return _COMMANDS[args.command][0](cfg, args)
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,8 @@ bits):
   top node into the 1-side.
 
 Both are one :class:`QuadraticCost`, ``scale * x^T Q x + h.x + c`` over the
-problem's Hamming-weight sector, and :func:`permute` reindexes either family.
+problem's Hamming-weight sector, which each problem instance builds once as its
+``form``; :func:`permute` reindexes either family.
 
 Data enters either from a closing-price CSV, or from seeded generators
 (factor-model price paths for assets, Bernoulli edges with uniform weights for
@@ -110,6 +111,16 @@ class PortfolioProblem:
         prices.setflags(write=False)
         object.__setattr__(self, "prices", prices)
 
+    @cached_property
+    def form(self) -> "QuadraticCost":
+        """The cost as a :class:`QuadraticCost`, built once per instance, so its
+        tables serve every evaluation (a :func:`permute` copy builds its own).
+
+        ``q`` stays outside ``Q``: folding it in changes the rounding of the
+        energies.
+        """
+        return QuadraticCost(self.n, self.budget, self.q, self.A, -self.mu)
+
 
 @dataclass(frozen=True)
 class IsingModel:
@@ -136,7 +147,7 @@ def cost_binary(p: PortfolioProblem, x: BasisLike) -> float:
         raise ValueError(
             f"bitstring {bits:0{p.n}b} has weight {hamming_weight(bits)}, budget is {p.budget}"
         )
-    return float(QuadraticCost.of(p)(np.array([bits], dtype=np.int64))[0])
+    return float(p.form(np.array([bits], dtype=np.int64))[0])
 
 
 def to_ising(p: PortfolioProblem) -> IsingModel:
@@ -182,6 +193,18 @@ class BisectionProblem:
     def weighted_degree(self) -> np.ndarray:
         return self.weights.sum(axis=1)
 
+    @cached_property
+    def form(self) -> "QuadraticCost":
+        """The cost as a :class:`QuadraticCost`, built once per instance, so its
+        tables serve every evaluation (a :func:`permute` copy builds its own).
+
+        The pinned bit stays out of ``h`` and ``c``: folding it in changes the
+        rounding of the energies.
+        """
+        pinned = 1 << (self.n - 1) if self.fixed_top_bit else 0
+        return QuadraticCost(self.n, self.n // 2, -1.0, self.weights,
+                             self.weighted_degree, self.offset, pinned)
+
 
 def cost_bisection(b: BisectionProblem, x: BasisLike) -> float:
     """Cut weight of the split indicated by x, plus the offset."""
@@ -192,7 +215,7 @@ def cost_bisection(b: BisectionProblem, x: BasisLike) -> float:
         )
     if b.fixed_top_bit and not (bits >> (b.n - 1)) & 1:
         raise ValueError("top bit is pinned to 1 for this instance")
-    return float(QuadraticCost.of(b)(np.array([bits], dtype=np.int64))[0])
+    return float(b.form(np.array([bits], dtype=np.int64))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +267,6 @@ class QuadraticCost:
     h: np.ndarray
     c: float = 0.0
     pinned: int = 0
-
-    @classmethod
-    def of(cls, problem: Problem) -> "QuadraticCost":
-        """The form of a portfolio or bisection problem.
-
-        ``q`` stays outside ``Q`` and the pinned bit stays out of ``h`` and
-        ``c``: folding either in changes the rounding of the energies.
-        """
-        if isinstance(problem, PortfolioProblem):
-            return cls(problem.n, problem.budget, problem.q, problem.A, -problem.mu)
-        if isinstance(problem, BisectionProblem):
-            pinned = 1 << (problem.n - 1) if problem.fixed_top_bit else 0
-            return cls(problem.n, problem.n // 2, -1.0, problem.weights,
-                       problem.weighted_degree, problem.offset, pinned)
-        raise TypeError(f"unsupported problem type {type(problem).__name__}")
 
     @property
     def spec(self) -> DickeSpec:
@@ -324,12 +332,12 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
 
 def dicke_spec_for(problem: Problem) -> DickeSpec:
     """The weight sector the search runs over (pinned bits excluded)."""
-    return QuadraticCost.of(problem).spec
+    return problem.form.spec
 
 
 def lift_bits(problem: Problem, bits: int) -> int:
     """A search-width bitstring as a problem-width one (pinned bits set)."""
-    return bits | QuadraticCost.of(problem).pinned
+    return bits | problem.form.pinned
 
 
 def batch_evaluator(problem: Problem) -> Callable[[np.ndarray], np.ndarray]:
@@ -338,7 +346,7 @@ def batch_evaluator(problem: Problem) -> Callable[[np.ndarray], np.ndarray]:
     Use the result only as that function: read the spec and the lift through
     :func:`dicke_spec_for` and :func:`lift_bits`.
     """
-    return QuadraticCost.of(problem)
+    return problem.form
 
 
 def permute(problem: Problem, sigma: Sequence[int]) -> tuple[Problem, tuple[int, ...]]:

@@ -25,7 +25,8 @@ from scipy.optimize import minimize
 
 from . import qsim
 from .ansatz import DickeSpec, build_for
-from .partition import FragmentPreparer, SubAnsatzId, bitstrings_of_weight
+from .locate import subspace_min
+from .partition import FragmentPreparer, SubAnsatzId, child_count, child_weight
 from .problem import batch_evaluator, dicke_spec_for
 from .qsim import hamming_weight_array
 
@@ -200,14 +201,14 @@ def ratio_variance_curves(spec: DickeSpec, grid: Sequence[float]) -> PrincipalCo
     circuit = build_for(spec)
     half = n // 2
 
-    lo = max(0, k - half)
-    hi = min(k, half)
-    sizes = np.zeros(hi - lo + 1, dtype=np.int64)
-    for i in range(lo, hi + 1):
-        sizes[i - lo] = math.comb(half, i) * math.comb(half, k - i)
+    lo = child_weight(spec, 0)
+    sizes = np.array(
+        [math.comb(half, i) * math.comb(half, k - i) for i in range(lo, lo + child_count(spec))],
+        dtype=np.int64,
+    )
 
     thetas = np.asarray(list(grid), dtype=np.float64)
-    ratios = np.zeros((thetas.size, hi - lo + 1))
+    ratios = np.zeros((thetas.size, sizes.size))
     variances = np.zeros_like(ratios)
     for g, theta in enumerate(thetas):
         psi = qsim.simulate(circuit, np.full(circuit.num_params, theta))
@@ -238,9 +239,8 @@ def close_to_solution_theta(
     keeps at least ``hillside`` of the peak — trading a little mass for a
     position on the slope where the optimizer retains mobility.
     """
-    half_extent = spec.n // 2
-    lo = max(0, spec.k - half_extent)
-    hi = min(spec.k, half_extent)
+    lo = child_weight(spec, 0)
+    hi = lo + child_count(spec) - 1
     if not lo <= target <= hi:
         raise ValueError(f"target index {target} outside {lo}..{hi}")
     if 2 * (target - lo) < hi - lo:
@@ -288,12 +288,10 @@ def trace_to_csv(rows: Sequence[TraceRow]) -> str:
 
 
 def _exact_ground_state(problem, spec: DickeSpec) -> Optional[int]:
-    """Brute-force ground state over the weight-k set when small enough."""
+    """Exact ground state over the whole weight-k set when small enough."""
     if spec.n > EXACT_PROBABILITY_LIMIT:
         return None
-    states = bitstrings_of_weight(spec.n, spec.k).astype(np.int64)
-    cost = batch_evaluator(problem)
-    return int(states[np.argmin(cost(states))])
+    return subspace_min(SubAnsatzId(spec, ()), batch_evaluator(problem))[0].bits
 
 
 class _BudgetSpent(Exception):
@@ -451,18 +449,18 @@ def bounded_cvar_study(
     """Fixed-(alpha, beta) convergence traces over a seed ensemble.
 
     Group sizes are clamped to the slot count, so the canonical {1,10,20,40}
-    grid adapts to smaller circuits; each cell holds one expectation-per-epoch
-    list per seed.
+    grid adapts to smaller circuits, and group sizes that clamp alike run
+    once; each cell holds one expectation-per-epoch list per seed. The
+    circuit must fit the engine's memory cap.
     """
     if spec is None:
         spec = dicke_spec_for(problem)
-    if spec.n > 16:
-        raise ValueError(f"the grid study is exact-simulation only (n <= 16), got n={spec.n}")
-    slots = build_for(spec).num_params
+    circuit = build_for(spec)
+    qsim.check_engine_memory(circuit)
+    clamped = dict.fromkeys(min(int(b), circuit.num_params) for b in betas)
     table: dict[tuple[float, int], list[list[float]]] = {}
     for alpha in alphas:
-        for beta_raw in betas:
-            beta = min(int(beta_raw), slots)
+        for beta in clamped:
             traces: list[list[float]] = []
             for seed in seeds:
                 _, _, rows = optimize(

@@ -100,6 +100,22 @@ def test_invalid_json_reports_line(tmp_path, capsys):
             {"problem": {"kind": "synth-portfolio", "n": 10, "seed": 4, "budget": 0}, "theta0_pi": 0.65},
             "budget",
         ),
+        # a JSON boolean, not a truthy value
+        (
+            {
+                "problem": {"kind": "synth-graph", "n": 8, "p_edge": 0.5, "seed_graph": 1,
+                            "seed_weights": 2, "fixed_top_bit": "no"},
+            },
+            "fixed_top_bit",
+        ),
+        # keys a section does not read, per section and per problem kind
+        ({"cvar": {"shot": 3, "alpha_start": 0.5}}, "shot"),
+        ({"study": {"epoch": 6}}, "epoch"),
+        ({"curves": {"point": 5}}, "point"),
+        ({"schedule": {"counts": [4, 1], "epochs": [12, 16], "rho_pi": [0.15, 0.1], "rho": [1, 1]}}, "rho"),
+        ({"problem": {"kind": "synth-portfolio", "n": 10, "seed": 4, "fixed_top_bit": True}}, "fixed_top_bit"),
+        ({"problem": {"kind": "portfolio-file", "path": "p.json", "budget": 4}}, "budget"),
+        ({"problem": {"kind": "graph-file", "path": "g.txt", "offset": 1.0}}, "offset"),
     ],
 )
 def test_validation_errors_cite_the_offending_line(tmp_path, capsys, overrides, key):
@@ -204,10 +220,53 @@ def test_portfolio_file_budget_error_cites_the_path_line(tmp_path, capsys):
     assert f"{path}:{path_line}: portfolio budget 8 outside 1..7" in err
 
 
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ('"study": {"seed": 3}', "unknown key 'seed' in study; it reads alphas, betas, seeds, epochs, shots"),
+        (
+            '"problem": {"kind": "portfolio-file", "path": "p.json", "budget": 4}',
+            "problem kind 'portfolio-file' takes no key 'budget'; a portfolio file sets its own budget as 'xi'",
+        ),
+    ],
+    ids=["study-seed", "portfolio-file-budget"],
+)
+def test_unknown_section_keys_name_what_is_read_instead(tmp_path, capsys, section, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        "{\n"
+        '  "problem": {"kind": "synth-portfolio", "n": 8, "seed": 4},\n'
+        '  "seed": 3,\n'
+        f"  {section}\n"
+        "}\n"
+    )
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"{path}:4: {message}" in capsys.readouterr().err
+
+
 def test_negative_seed_override_names_the_flag(capsys):
     rc = main(["solve", "--config", "portfolio12", "--seed", "-1"])
     assert rc == 1
     assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+def test_zero_jobs_names_the_flag(capsys):
+    rc = main(["study", "--config", "portfolio12", "--jobs", "0"])
+    assert rc == 1
+    assert "--jobs must be a positive integer, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("solve", ["--jobs", "2"]), ("bruteforce", ["--dump-circuit"])],
+    ids=["solve-jobs", "bruteforce-dump-circuit"],
+)
+def test_flags_of_other_subcommands_are_usage_errors(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "portfolio12", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_gen_data_writes_instances_beyond_int64_packing(tmp_path):
@@ -503,6 +562,26 @@ def test_gen_data_portfolio_round_trip(tmp_path):
     from_csv = ingest_csv(tmp_path / "gd" / "prices.csv", q=0.9, budget=5)
     assert np.allclose(from_csv.mu, saved.mu, rtol=1e-12, atol=0)
     assert np.allclose(from_csv.A, saved.A, rtol=1e-9, atol=0)
+
+
+def test_csv_portfolio_round_trip_matches_the_synthetic_instance(tmp_path):
+    synth = _write_config(tmp_path)
+    assert main(["gen-data", "--config", str(synth), "--out", str(tmp_path / "gd")]) == 0
+    from_csv = _write_config(
+        tmp_path,
+        name="csv.json",
+        problem={"kind": "csv-portfolio", "path": str(tmp_path / "gd" / "prices.csv"), "q": 0.9, "budget": 5},
+    )
+    assert main(["bruteforce", "--config", str(synth), "--out", str(tmp_path / "b")]) == 0
+    assert main(["bruteforce", "--config", str(from_csv), "--out", str(tmp_path / "bc")]) == 0
+    assert main(["solve", "--config", str(from_csv), "--out", str(tmp_path / "sc")]) == 0
+    brute = json.loads((tmp_path / "b" / "bruteforce.json").read_text())["solution"]
+    brute_csv = json.loads((tmp_path / "bc" / "bruteforce.json").read_text())["solution"]
+    solved_csv = json.loads((tmp_path / "sc" / "solution.json").read_text())["solution"]
+    # the CSV reproduces the statistics to about 1e-12, not bitwise
+    assert brute_csv["bits"] == brute["bits"] == solved_csv["bits"]
+    assert brute_csv["energy"] == pytest.approx(brute["energy"], rel=1e-9)
+    assert solved_csv["energy"] == brute_csv["energy"]
 
 
 def test_gen_data_graph_round_trip(tmp_path):

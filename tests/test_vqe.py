@@ -376,9 +376,27 @@ def test_bounded_cvar_study_shapes_and_clamping():
         assert all(len(t) == 12 for t in traces)
 
 
+def test_bounded_cvar_study_runs_group_sizes_that_clamp_alike_once(monkeypatch):
+    run = []
+    optimize_once = vqe.optimize
+
+    def counted(*args, **kwargs):
+        run.append(kwargs["schedule"].counts)
+        return optimize_once(*args, **kwargs)
+
+    monkeypatch.setattr(vqe, "optimize", counted)
+    table = bounded_cvar_study(
+        synth_assets(6, 3), alphas=(0.5,), betas=(40, 2, 60), seeds=(0,), epochs=3, shots=16
+    )
+    slots = build_for(DickeSpec(6, 3)).num_params
+    assert list(table) == [(0.5, slots), (0.5, 2)]
+    assert run == [(slots,), (2,)]
+
+
 def test_bounded_cvar_study_rejects_wide_instances():
-    with pytest.raises(ValueError):
-        bounded_cvar_study(synth_assets(18, 1))
+    # D^26_13: amplitudes plus partner tables above the engine's memory cap
+    with pytest.raises(ValueError, match="weight-13 sector of 26 qubits"):
+        bounded_cvar_study(synth_assets(26, 1))
 
 
 def test_plateau_estimators():
