@@ -244,7 +244,9 @@ def enumerate_subansatz_arrays(sa: SubAnsatzId, chunk: int = 1 << 20) -> Iterato
     The deepest suffix of fragments whose full product fits in one chunk is
     materialized with broadcasting; the remaining (more significant) fragments
     are walked with an odometer, so chunks stay near ``chunk`` entries without
-    ever concatenating the full product.
+    ever concatenating the full product. A last fragment larger than ``chunk``
+    is yielded in slices of at most ``chunk`` states (views when it is the only
+    fragment).
     """
     frags = sa.fragments()
     parts = [bitstrings_of_weight(f.n, f.k) for f in frags]
@@ -257,13 +259,9 @@ def enumerate_subansatz_arrays(sa: SubAnsatzId, chunk: int = 1 << 20) -> Iterato
         size *= len(parts[pos - 1])
         pos -= 1
 
-    suffix = np.zeros(1, dtype=np.int64)
-    for p in range(pos, len(parts)):
+    suffix = parts[pos]
+    for p in range(pos + 1, len(parts)):
         suffix = ((suffix[:, None] << widths[p]) | parts[p][None, :]).ravel()
-    if pos == 0:
-        yield suffix
-        return
-
     prefix_width = sum(widths[pos:])
 
     def heads(p: int, acc: int) -> Iterator[int]:
@@ -272,6 +270,13 @@ def enumerate_subansatz_arrays(sa: SubAnsatzId, chunk: int = 1 << 20) -> Iterato
             return
         for bits in parts[p]:
             yield from heads(p + 1, (acc << widths[p]) | int(bits))
+
+    if pos == 0 or len(suffix) > chunk:
+        for head in heads(0, 0):
+            for at in range(0, len(suffix), chunk):
+                piece = suffix[at : at + chunk]
+                yield piece if pos == 0 else (head << prefix_width) | piece
+        return
 
     buf: list[np.ndarray] = []
     buffered = 0
@@ -310,12 +315,12 @@ class FragmentPreparer:
 
     def sample(
         self, params_per_fragment: Sequence[Sequence[float]], shots: int, rng: np.random.Generator
-    ) -> Counter:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Simulate each parameterized fragment once and draw ``shots`` product outcomes.
 
-        The fragments' states are kept for :meth:`probability_of`. Returns a
-        Counter over full-width basis states, keyed in first-draw order as
-        ``Counter(draws)`` would be.
+        The fragments' states are kept for :meth:`probability_of`. Returns the
+        distinct full-width basis states and their counts, in first-draw order
+        (the order of ``Counter(draws)``).
         """
         if len(params_per_fragment) != len(self.fragments):
             raise ValueError(
@@ -340,7 +345,7 @@ class FragmentPreparer:
             draws = (draws << f.n) | frag_draws
         keys, first, counts = np.unique(draws, return_index=True, return_counts=True)
         order = np.argsort(first)
-        return Counter(dict(zip(keys[order].tolist(), counts[order].tolist())))
+        return keys[order], counts[order]
 
     def probability_of(self, bits: int) -> float:
         """Born probability of a full-width basis state in the last sampled product."""
@@ -375,7 +380,8 @@ def run_subansatz(
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    return FragmentPreparer(sa).sample(params_per_fragment, shots, rng)
+    states, counts = FragmentPreparer(sa).sample(params_per_fragment, shots, rng)
+    return Counter(dict(zip(states.tolist(), counts.tolist())))
 
 
 def entanglement_entropy(a: complex, b: complex) -> float:

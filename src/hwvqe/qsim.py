@@ -22,9 +22,12 @@ one float64 amplitude each. A circuit is compiled once (cached by circuit)
 into its sector, the index of its start state, one pair of partner tables
 ``(i01, i10)`` per lower qubit it uses (the positions of the states whose pair
 reads ``01`` and of their ``10`` partners), and the reordering its trailing X
-layer induces. Each block is then two gathers and two scatters. The dense
-functions (:func:`init_basis`, :func:`apply_v_block`, :func:`apply_circuit`)
-run the same kernel on each populated weight sector of a dense vector.
+layer induces. The tables are ordered by the first block at which a pair can
+hold an amplitude, so each block gathers and scatters only a prefix of them:
+the pairs no earlier block can have reached hold zeros for any parameters.
+The dense functions (:func:`init_basis`, :func:`apply_v_block`,
+:func:`apply_circuit`) run the same kernel over whole tables on each populated
+weight sector of a dense vector.
 """
 
 from __future__ import annotations
@@ -168,20 +171,22 @@ class StateVector:
 
 @lru_cache(maxsize=None)
 def bitstrings_of_weight(m: int, w: int) -> np.ndarray:
-    """All m-bit integers of Hamming weight w, ascending (read-only array)."""
+    """All m-bit integers of Hamming weight w, ascending (read-only array).
+
+    Built bit by bit from S(j, v) = S(j-1, v) followed by 2^(j-1) | S(j-1, v-1),
+    keeping only the weights v that can still reach w in the remaining bits.
+    """
     if not 0 <= w <= m:
         raise ValueError(f"weight {w} outside 0..{m}")
-    count = math.comb(m, w)
-    out = np.empty(count, dtype=np.int64)
-    if w == 0:
-        out[0] = 0
-    else:
-        x = (1 << w) - 1
-        for idx in range(count):
-            out[idx] = x
-            u = x & -x
-            v = x + u
-            x = v + (((v ^ x) // u) >> 2) if v ^ x else v  # Gosper's hack
+    empty = np.empty(0, dtype=np.int64)
+    rows = {0: np.zeros(1, dtype=np.int64)}
+    for j in range(1, m + 1):
+        top = np.int64(1) << (j - 1)
+        rows = {
+            v: np.concatenate((rows.get(v, empty), top | rows.get(v - 1, empty)))
+            for v in range(max(0, w - (m - j)), min(w, j) + 1)
+        }
+    out = rows[w]
     out.setflags(write=False)
     return out
 
@@ -218,20 +223,18 @@ def check_engine_memory(circuit) -> None:
     _check_sector(circuit.num_qubits, hamming_weight(_mask(circuit.x_placements)), _lowers(circuit))
 
 
-_Partners = dict[int, tuple[np.ndarray, np.ndarray]]  # lower qubit -> (i01, i10)
+def _partners(states: np.ndarray, lower: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the states whose pair at ``lower`` reads 01, and of their 10 partners."""
+    i01 = np.flatnonzero(((states >> lower) & 3) == 1)
+    return i01, np.searchsorted(states, states[i01] ^ (3 << lower))
 
 
 @lru_cache(maxsize=16)
-def _tables(n: int, w: int, lowers: tuple[int, ...]) -> tuple[np.ndarray, _Partners]:
+def _tables(n: int, w: int, lowers: tuple[int, ...]) -> tuple[np.ndarray, dict]:
     """The weight-w states of n bits, ascending, and each lower qubit's partner tables."""
     _check_sector(n, w, lowers)
     states = bitstrings_of_weight(n, w)
-    partners = {}
-    for lower in lowers:
-        i01 = np.flatnonzero(((states >> lower) & 3) == 1)
-        i10 = np.searchsorted(states, states[i01] ^ (3 << lower))
-        partners[lower] = (i01, i10)
-    return states, partners
+    return states, {lower: _partners(states, lower) for lower in lowers}
 
 
 def _mask(qubits: Sequence[int]) -> int:
@@ -250,10 +253,46 @@ def _compile(circuit) -> tuple[int, tuple, np.ndarray, Optional[np.ndarray]]:
     """A circuit on its weight sector: the start state's index, one ``(i01, i10,
     slot)`` per block, the output states (ascending), and the output-to-sector
     positions when ``post_x`` reorders them (flipping every qubit reverses the
-    order; any other mask permutes it)."""
+    order; any other mask permutes it).
+
+    Each lower qubit's pairs are ordered by the first block, in circuit order, at
+    which either state of the pair is reachable from the start state, so each
+    block rotates a prefix of its lower qubit's tables (views, not copies). The
+    pairs it skips hold only zeros for any parameters.
+    """
     start = _mask(circuit.x_placements)
-    sector, partners = _tables(circuit.num_qubits, hamming_weight(start), _lowers(circuit))
-    blocks = tuple((*partners[lower], slot) for _, lower, slot in circuit.blocks)
+    n, w, lowers = circuit.num_qubits, hamming_weight(start), _lowers(circuit)
+    _check_sector(n, w, lowers)
+    sector = bitstrings_of_weight(n, w)
+    begin = int(np.searchsorted(sector, start))
+    # built here, not read from the cached _tables, so the unordered tables are freed
+    partners = {lower: _partners(sector, lower) for lower in lowers}
+
+    # first[lower][j]: the first block on `lower` at which pair j can hold an amplitude
+    never = len(circuit.blocks)
+    narrow = np.min_scalar_type(never)
+    first = {lower: np.full(len(i01), never, narrow) for lower, (i01, _) in partners.items()}
+    reached = np.zeros(len(sector), dtype=bool)
+    reached[begin] = True
+    for b, (_, lower, _) in enumerate(circuit.blocks):
+        i01, i10 = partners[lower]
+        fresh = np.flatnonzero((first[lower] == never) & (reached[i01] | reached[i10]))
+        first[lower][fresh] = b
+        reached[i01[fresh]] = True
+        reached[i10[fresh]] = True
+    del reached
+
+    for lower in lowers:
+        order = np.argsort(first[lower], kind="stable")
+        first[lower] = first[lower][order]
+        partners[lower] = tuple(table[order] for table in partners[lower])
+        del order
+    blocks = []
+    for b, (_, lower, slot) in enumerate(circuit.blocks):
+        m = int(np.searchsorted(first[lower], b, side="right"))
+        i01, i10 = partners[lower]
+        blocks.append((i01[:m], i10[:m], slot))
+
     flip = _mask(circuit.post_x)
     order = None
     states = sector
@@ -262,7 +301,7 @@ def _compile(circuit) -> tuple[int, tuple, np.ndarray, Optional[np.ndarray]]:
         order = np.argsort(flipped, kind="stable")
         states = flipped[order]
         states.setflags(write=False)
-    return int(np.searchsorted(sector, start)), blocks, states, order
+    return begin, tuple(blocks), states, order
 
 
 def _check_params(circuit, params: Sequence[float]) -> None:
@@ -358,10 +397,21 @@ def support(s: StateVector, eps: float = 1e-12) -> set[int]:
 
 
 def draw(s: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """``shots`` i.i.d. basis states from the Born distribution, in draw order."""
+    """``shots`` i.i.d. basis states from the Born distribution, in draw order.
+
+    An inverse-CDF draw that takes the same ``shots`` uniforms from ``rng``, and
+    gives the same picks, as ``rng.choice(len(probs), size=shots, p=probs)``.
+    The uniforms are searched in sorted order, which is cheaper, and the picks
+    scattered back to draw order.
+    """
     probs = np.abs(s.values) ** 2
     probs /= probs.sum()
-    picks = rng.choice(len(probs), size=shots, p=probs)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(shots)
+    order = np.argsort(u)
+    picks = np.empty(shots, dtype=np.int64)
+    picks[order] = cdf.searchsorted(u[order], side="right")
     return picks if s.states is None else s.states[picks]
 
 

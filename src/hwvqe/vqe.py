@@ -373,9 +373,7 @@ def optimize(
             if epoch == stage_end:
                 raise _BudgetSpent
             params = expand_params(logical, beta, preparer.num_params)
-            outcomes = preparer.sample(preparer.split(params), cvar_cfg.shots, rng)
-            states = np.fromiter(outcomes.keys(), dtype=np.int64, count=len(outcomes))
-            multiplicity = np.fromiter(outcomes.values(), dtype=np.int64, count=len(outcomes))
+            states, multiplicity = preparer.sample(preparer.split(params), cvar_cfg.shots, rng)
             energies = cost(states)
             order = np.lexsort((states, energies))
             low = order[0]

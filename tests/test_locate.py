@@ -54,6 +54,17 @@ def test_subspace_min_tie_goes_to_smaller_bits():
     assert state.bits == first and energy == 0.0
 
 
+def test_subspace_min_ties_across_chunks_of_one_fragment():
+    # D^23_11 is one fragment of 1,352,078 states, enumerated in two chunks;
+    # the tied minima sit one in each chunk and the first must win
+    sa = SubAnsatzId(DickeSpec(23, 11), ())
+    assert [len(c) for c in enumerate_subansatz_arrays(sa)] == [1 << 20, 303_502]
+    states = bitstrings_of_weight(23, 11)
+    low = states[[500_000, 1_100_000]]
+    state, energy = subspace_min(sa, lambda s: np.where(np.isin(s, low), -1.0, 0.0))
+    assert state.bits == int(low[0]) and energy == -1.0
+
+
 def test_subspace_min_respects_cap():
     sa = SubAnsatzId(DickeSpec(12, 6), ((3,),))
     with pytest.raises(ValueError):

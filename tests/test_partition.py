@@ -171,6 +171,14 @@ def test_bitstrings_of_weight_ascending_and_complete():
         bitstrings_of_weight(4, 5)
 
 
+def test_bitstrings_of_weight_equals_combinations():
+    for m in range(15):
+        for w in range(m + 1):
+            expected = sorted(sum(1 << q for q in ones) for ones in itertools.combinations(range(m), w))
+            got = bitstrings_of_weight(m, w)
+            assert got.dtype == np.int64 and got.tolist() == expected
+
+
 def test_enumeration_matches_fragment_product():
     spec = DickeSpec(8, 4)
     sa = SubAnsatzId(spec, ((3,), (1, 0)))
@@ -198,6 +206,13 @@ def test_chunked_enumeration_equals_lazy():
     # a grid much larger than the chunk is actually split
     wide = SubAnsatzId(spec, ((4,),))  # 225 states
     assert len(list(enumerate_subansatz_arrays(wide, chunk=64))) == 3
+
+
+def test_one_fragment_wider_than_a_chunk_is_sliced():
+    # the depth-0 sub-ansatz: 184,756 states, cut into views of at most chunk states
+    chunks = list(enumerate_subansatz_arrays(SubAnsatzId(DickeSpec(20, 10), ()), chunk=1 << 15))
+    assert len(chunks) == 6 and all(len(c) <= 1 << 15 for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), bitstrings_of_weight(20, 10))
 
 
 def test_hundred_qubit_outer_cells_countable():
@@ -258,7 +273,7 @@ def test_sample_keeps_counter_first_draw_order(rng, levels):
     sa = SubAnsatzId(DickeSpec(8, 4), levels)
     preparer = FragmentPreparer(sa)
     params = preparer.split(rng.uniform(0.4, 2.7, size=preparer.num_params))
-    got = preparer.sample(params, 300, np.random.default_rng(17))
+    states, counts = preparer.sample(params, 300, np.random.default_rng(17))
 
     stream = np.random.default_rng(17)
     draws = np.zeros(300, dtype=np.int64)
@@ -267,8 +282,8 @@ def test_sample_keeps_counter_first_draw_order(rng, levels):
         probs = np.abs(psi.values) ** 2
         draws = (draws << f.n) | psi.states[stream.choice(len(probs), size=300, p=probs / probs.sum())]
     expected = Counter(int(b) for b in draws)
-    assert list(got.items()) == list(expected.items())
-    assert list(got) != sorted(got)  # first-draw order, not np.unique's sorted order
+    assert list(zip(states.tolist(), counts.tolist())) == list(expected.items())
+    assert states.tolist() != sorted(states.tolist())  # first-draw order, not np.unique's sorted order
 
 
 def test_entanglement_entropy_binary_values():

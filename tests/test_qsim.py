@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import sparse_simulate
 
+from hwvqe import qsim
 from hwvqe.ansatz import Circuit, DickeSpec, build_folded, build_for, build_straight, conjugate_form
 from hwvqe.qsim import (
     MAX_ENGINE_BYTES,
@@ -17,7 +18,9 @@ from hwvqe.qsim import (
     StateVector,
     apply_circuit,
     apply_v_block,
+    bitstrings_of_weight,
     check_engine_memory,
+    draw,
     hamming_weight_array,
     init_basis,
     probability_of,
@@ -144,6 +147,28 @@ def test_sample_frequencies_track_born_rule():
     assert abs(counts[0b01] / 20_000 - 0.5) < 0.02
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["sector", "dense"])
+def test_draw_equals_generator_choice(rng, dense):
+    # the inverse-CDF draw consumes the stream and picks exactly as numpy's choice does
+    circuit = build_folded(DickeSpec(10, 4))
+    psi = simulate(circuit, rng.uniform(0, 2 * math.pi, size=circuit.num_params))
+    if dense:
+        psi = StateVector(psi.num_qubits, psi.amplitudes)
+    p = np.abs(psi.values) ** 2
+    p /= p.sum()
+    for seed in range(50):
+        picks = np.random.default_rng(seed).choice(len(p), size=1000, p=p)
+        expected = picks if dense else psi.states[picks]
+        assert np.array_equal(draw(psi, 1000, np.random.default_rng(seed)), expected)
+
+
+def test_draw_never_picks_a_zero_probability_state():
+    values = np.array([0.0, 0.0, 0.6, 0.0, -0.0, 0.8, 1e-300, 0.0, 0.0])
+    states = np.arange(len(values), dtype=np.int64) * 3
+    picks = draw(StateVector(5, states=states, values=values), 20_000, np.random.default_rng(3))
+    assert set(picks.tolist()) == {6, 15}
+
+
 def test_kernels_match_dense_matrix_reference(rng):
     # apply_v_block and the X layers of apply_circuit against the full 2^n x 2^n
     # matrix of each gate, built from the rule, on a state spanning every weight
@@ -236,3 +261,46 @@ def test_engine_matches_sparse_reference(case):
     pre, post = (sum(1 << q for q in layer) for layer in (circuit.x_placements, circuit.post_x))
     weight = (start ^ pre ^ post).bit_count()
     _assert_matches_reference(out.amplitudes, sparse_simulate(circuit, params, start), weight)
+
+
+@pytest.mark.parametrize("spec, rotated", [(DickeSpec(16, 8), 65_087), (DickeSpec(10, 5), 551)])
+def test_compiled_blocks_rotate_only_reachable_pairs(spec, rotated):
+    circuit = build_for(spec)
+    _, blocks, _, _ = qsim._compile(circuit)
+    assert sum(len(i01) for i01, _, _ in blocks) == rotated
+    pairs = math.comb(spec.n - 2, spec.k - 1)
+    assert len(blocks) * pairs > rotated  # the whole tables would rotate more
+
+
+def _full_table_rotation(circuit, params):
+    """The circuit on its weight sector, every block rotating all of its pairs."""
+    start = sum(1 << q for q in circuit.x_placements)
+    sector = bitstrings_of_weight(circuit.num_qubits, start.bit_count())
+    a = np.zeros(len(sector))
+    a[np.searchsorted(sector, start)] = 1.0
+    for _, lower, slot in circuit.blocks:
+        i01 = np.flatnonzero(((sector >> lower) & 3) == 1)
+        i10 = np.searchsorted(sector, sector[i01] ^ (3 << lower))
+        c, s = math.cos(params[slot] / 2.0), math.sin(params[slot] / 2.0)
+        a01, a10 = a[i01], a[i10]
+        a[i01] = c * a01 + s * a10
+        a[i10] = -s * a01 + c * a10
+    return sector, a
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(case=_circuit_params_start())
+def test_block_prefixes_cover_exactly_the_reachable_states(case):
+    circuit, params, _ = case
+    begin, blocks, _, _ = qsim._compile(circuit)
+    sector, full = _full_table_rotation(circuit, params)
+    covered = {int(sector[begin])}
+    for i01, i10, _ in blocks:
+        covered.update(sector[i01].tolist(), sector[i10].tolist())
+    post = sum(1 << q for q in circuit.post_x)
+    assert {b ^ post for b in covered} == set(sparse_simulate(circuit, params))
+
+    psi = simulate(circuit, params)
+    order = np.argsort(sector ^ post)
+    assert np.array_equal(psi.states, (sector ^ post)[order])
+    assert np.array_equal(np.abs(psi.values), np.abs(full[order]))  # skipped pairs hold only zeros
