@@ -434,7 +434,10 @@ def cmd_solve(cfg: RunConfig, args) -> int:
             notes.append(f"location skipped: odd search width {spec.n}, theta0 from config")
             flags["locate_skipped"] = True
         else:
-            report = locate.locate_soft(prob, spec, cap=cfg.cap, seed=cfg.seed)
+            try:
+                report = locate.locate_soft(prob, spec, cap=cfg.cap, seed=cfg.seed)
+            except locate.CellsOverCap as exc:
+                cfg.fail("cap", f"{exc}; raise 'cap'")
             prob = report.problem
             target = report.predicted.levels[0][0]
             if theta0 is None:
@@ -442,7 +445,14 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     else:
         if spec.n % (1 << cfg.depth):
             cfg.fail("depth", f"depth {cfg.depth} needs n divisible by {1 << cfg.depth}, got {spec.n}")
-        report = locate.locate_hard(prob, spec, p=cfg.depth, cap=cfg.cap, seed=cfg.seed)
+        try:
+            report = locate.locate_hard(prob, spec, p=cfg.depth, cap=cfg.cap, seed=cfg.seed)
+        except locate.CellsOverCap as exc:
+            finer = 1 << (cfg.depth + 1)
+            hint = "raise 'cap' or 'depth'" if spec.n % finer == 0 else (
+                f"raise 'cap' (depth {cfg.depth + 1} needs n divisible by {finer}, got {spec.n})"
+            )
+            cfg.fail("cap", f"{exc}; {hint}")
         target_id = report.predicted
         if theta0 is None:
             if spec.n <= vqe.EXACT_PROBABILITY_LIMIT:

@@ -40,6 +40,7 @@ from .qsim import BasisState, hamming_weight
 
 __all__ = [
     "DEFAULT_CAP",
+    "CellsOverCap",
     "EnergyCurve",
     "LocateReport",
     "subspace_min",
@@ -227,6 +228,10 @@ class LocateReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
+class CellsOverCap(ValueError):
+    """Every cell probed on an interpolation axis holds more states than the cap."""
+
+
 class _CellCache:
     """Memoized exact minima keyed by sub-ansatz id; over-cap cells pin +inf."""
 
@@ -279,7 +284,11 @@ def _interpolate_axis(
     flags: dict[str, bool] = {}
     if len(points) < 3:
         if not points:
-            raise ValueError("no evaluable cells on the interpolation axis")
+            smallest = min(subansatz_basis_count(cell_of(i)) for i in indices)
+            raise CellsOverCap(
+                f"every cell probed on the interpolation axis exceeds cap {cache.cap}; "
+                f"the smallest holds {smallest} states"
+            )
         flags["direct_argmin"] = True
         best = min(points, key=lambda p: (p[1], -p[0]))
         return best[0], None, flags

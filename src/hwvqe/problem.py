@@ -528,16 +528,43 @@ def save_portfolio(p: PortfolioProblem, path: str | Path) -> None:
 
 
 def load_portfolio(path: str | Path) -> PortfolioProblem:
-    doc = json.loads(Path(path).read_text())
-    n = int(doc["n"])
-    return PortfolioProblem(
-        n=n,
-        q=float(doc["q"]),
-        A=np.array(doc["A"], dtype=np.float64).reshape(n, n),
-        mu=np.array(doc["mu"], dtype=np.float64),
-        budget=int(doc["xi"]),
-        permutation=tuple(int(i) for i in doc.get("permutation", [])),
-    )
+    """Read a :func:`save_portfolio` file; a malformed one raises ValueError
+    naming ``path`` and, where one is at fault, the key."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a portfolio file holds a JSON object, got a {type(doc).__name__}")
+
+    def read(key: str, convert: Callable, default=None):
+        if key not in doc:
+            if default is not None:
+                return default
+            raise ValueError(f"{path}: missing key {key!r}")
+        try:
+            return convert(doc[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: key {key!r}: {exc}") from None
+
+    def floats(values) -> np.ndarray:
+        return np.array(values, dtype=np.float64)
+
+    n = read("n", int)
+    if n < 1:
+        raise ValueError(f"{path}: key 'n' must be a positive integer, got {n}")
+    A, mu, xi = read("A", floats), read("mu", floats), read("xi", int)
+    if A.shape not in ((n * n,), (n, n)):
+        raise ValueError(f"{path}: key 'A' has shape {A.shape}; n = {n} needs {n * n} values")
+    if mu.shape != (n,):
+        raise ValueError(f"{path}: key 'mu' has shape {mu.shape}; n = {n} needs {n} values")
+    if not 0 <= xi <= n:
+        raise ValueError(f"{path}: key 'xi' = {xi} outside 0..{n}")
+    q, perm = read("q", float), read("permutation", lambda v: tuple(int(i) for i in v), ())
+    try:
+        return PortfolioProblem(n=n, q=q, A=A.reshape(n, n), mu=mu, budget=xi, permutation=perm)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_graph(b: BisectionProblem, path: str | Path) -> None:
@@ -550,21 +577,50 @@ def save_graph(b: BisectionProblem, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> BisectionProblem:
-    text = Path(path).read_text().strip().splitlines()
-    if not text or not text[0].startswith("#"):
-        raise ValueError(f"{path}: missing header line")
-    fields = dict(tok.split("=", 1) for tok in text[0].lstrip("# ").split())
-    n = int(fields["nodes"])
+    """Read a :func:`save_graph` file: the header ``# nodes=N offset=F
+    fixed_top_bit=0|1``, then one ``u v weight`` line per edge. A malformed
+    file raises ValueError naming ``path:line``."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or not lines[0].startswith("#"):
+        raise ValueError(f"{path}:1: missing header line '# nodes=N offset=F fixed_top_bit=0|1'")
+    header = {"nodes": None, "offset": "0.0", "fixed_top_bit": "0"}
+    for tok in lines[0].lstrip("# ").split():
+        key, eq, value = tok.partition("=")
+        if not eq or key not in header:
+            raise ValueError(
+                f"{path}:1: malformed header token {tok!r}; expected nodes=, offset= or fixed_top_bit="
+            )
+        header[key] = value
+    try:
+        n = int(header["nodes"])
+        offset = float(header["offset"])
+        pinned = {"0": False, "1": True}[header["fixed_top_bit"]]
+    except (TypeError, ValueError, KeyError):
+        raise ValueError(
+            f"{path}:1: header needs nodes=<positive integer>, offset=<number> and "
+            f"fixed_top_bit=0|1, got {lines[0]!r}"
+        ) from None
+    if n < 1:
+        raise ValueError(f"{path}:1: nodes must be a positive integer, got {n}")
     W = np.zeros((n, n))
-    for lineno, line in enumerate(text[1:], start=2):
-        if not line.strip():
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if not parts:
             continue
-        u_s, v_s, w_s = line.split()
-        u, v, w = int(u_s), int(v_s), float(w_s)
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: an edge line is 'u v weight', got {len(parts)} fields")
+        try:
+            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: edge {line.strip()!r} is not 'u v weight'") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"{path}:{lineno}: node index outside 0..{n - 1} in edge {line.strip()!r}")
+        if u == v:
+            raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
+        if not math.isfinite(w):
+            raise ValueError(f"{path}:{lineno}: edge weight {parts[2]!r} is not finite")
         W[u, v] = W[v, u] = w
-    return BisectionProblem(
-        n=n,
-        weights=W,
-        offset=float(fields.get("offset", 0.0)),
-        fixed_top_bit=bool(int(fields.get("fixed_top_bit", 0))),
-    )
+    try:
+        return BisectionProblem(n=n, weights=W, offset=offset, fixed_top_bit=pinned)
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from None

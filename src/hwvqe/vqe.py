@@ -4,7 +4,9 @@ The optimizer runs a staged outer loop: each stage ties the physical rotation
 angles into contiguous groups that share one logical value (group size beta),
 hands the logical vector to a derivative-free trust-region routine for a fixed
 evaluation budget, and carries the resulting angles into the next stage where
-the groups shrink. The per-sample objective is CVaR over measured energies at
+the groups shrink. The routine is Powell's COBYLA without constraints, written
+here in numpy (:func:`_cobyla`), so results do not depend on an outside
+optimizer's version. The per-sample objective is CVaR over measured energies at
 a confidence level that grows geometrically across stages.
 
 Initialization is *close to solution*: a single angle, chosen where the
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import qsim
 from .ansatz import DickeSpec, build_for
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 EXACT_PROBABILITY_LIMIT = 20  # statevector ground-state probability up to here
-COBYLA_RHOEND = 1e-4  # final trust radius of each COBYLA run (scipy's default tol)
+COBYLA_RHOEND = 1e-4  # final trust radius of each COBYLA run
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +295,111 @@ def _exact_ground_state(problem, spec: DickeSpec) -> Optional[int]:
     return subspace_min(SubAnsatzId(spec, ()), batch_evaluator(problem))[0].bits
 
 
-class _BudgetSpent(Exception):
-    """Raised by a stage's objective when COBYLA asks past the stage budget."""
+def _cobyla(fun, x0: np.ndarray, rho_beg: float, rho_end: float, maxfun: int):
+    """Powell's COBYLA without constraints; returns the best point and value.
+
+    A simplex of n+1 evaluated points carries a linear model whose gradient is
+    ``simi.T @ (f_j - f_base)``, with ``simi`` the inverse of the matrix of
+    vertex offsets from the base, the best point seen. Each pass makes at most
+    one evaluation and either evaluates or shrinks a radius:
+
+    - a trust-region step ``-delta * g / |g|``; the ratio of actual to
+      predicted reduction halves delta (<= 0.1), keeps it, or doubles it
+      (> 0.7), and delta snaps to rho once within 1.5 rho. The new point
+      replaces the vertex that Powell's rule picks: the largest |simi @ d|,
+      weighted by squared distance. A zero gradient snaps delta to rho;
+    - after a poor step, a geometry step of length delta/2 along ``simi[j]``
+      when a vertex lies nearer than delta/4 to the opposite face or farther
+      than 2.1 delta from the base;
+    - otherwise, once delta equals rho, rho shrinks toward ``rho_end``
+      (tenfold, then geometrically); a poor step at ``rho_end`` ends the run.
+
+    The run also ends after ``maxfun`` evaluations, so a budget below n+1
+    cuts the initial simplex short. Ties keep the earlier point.
+    """
+    x0 = np.asarray(x0, dtype=np.float64)
+    n = x0.size
+    pts = np.empty((n + 1, n))
+    vals = np.empty(n + 1)
+    pts[0], vals[0] = x0, fun(x0)
+    nf, base = 1, 0
+    for j in range(n):
+        if nf == maxfun:
+            return pts[base].copy(), float(vals[base])
+        x = pts[base].copy()
+        x[j] += rho_beg
+        pts[j + 1], vals[j + 1] = x, fun(x)
+        nf += 1
+        if vals[j + 1] < vals[base]:
+            base = j + 1
+
+    rho = delta = rho_beg
+    poor = False
+    while nf < maxfun:
+        others = np.flatnonzero(np.arange(n + 1) != base)
+        sim = (pts[others] - pts[base]).T
+        simi = np.linalg.inv(sim)
+        g = simi.T @ (vals[others] - vals[base])
+        if poor:
+            poor = False
+            veta = np.sqrt((sim * sim).sum(axis=0))
+            vsig = 1.0 / np.sqrt((simi * simi).sum(axis=1))
+            far = veta.max() > 2.1 * delta
+            if far or vsig.min() < 0.25 * delta:
+                j = int(np.argmax(veta) if far else np.argmin(vsig))
+                d = 0.5 * delta * vsig[j] * simi[j]
+                if d @ g > 0:
+                    d = -d
+                x = pts[base] + d
+                f = fun(x)
+                nf += 1
+                pts[others[j]], vals[others[j]] = x, f
+                if f < vals[base]:
+                    base = others[j]
+                continue
+            if delta <= rho:
+                if rho <= rho_end:
+                    break
+                # PRIMA's schedule: tenfold, then geometrically, then rho_end
+                shrunk = rho_end
+                if rho > 250.0 * rho_end:
+                    shrunk = 0.1 * rho
+                elif rho > 16.0 * rho_end:
+                    shrunk = math.sqrt(rho * rho_end)
+                rho, delta = shrunk, max(0.5 * rho, shrunk)
+
+        gnorm = math.sqrt(float(g @ g))
+        if not gnorm > 0.0:
+            delta, poor = rho, True
+            continue
+        d = (-delta / gnorm) * g
+        x = pts[base] + d
+        f = fun(x)
+        nf += 1
+        ratio = (vals[base] - f) / (delta * gnorm)
+        if not ratio > 0.1:
+            delta *= 0.5
+        elif ratio > 0.7:
+            delta *= 2.0
+        if delta <= 1.5 * rho:
+            delta = rho
+        poor = not ratio > 0.1
+
+        lam = simi @ d
+        improved = f < vals[base]
+        if improved:
+            dist2 = np.append(((sim.T - d) ** 2).sum(axis=1), d @ d)
+            lam = np.append(lam, 1.0 - lam.sum())
+            slots = np.append(others, base)
+        else:
+            dist2 = (sim * sim).sum(axis=0)
+            slots = others
+        score = np.maximum(1.0, dist2 / max(rho, 0.1 * delta) ** 2) * np.abs(lam)
+        drop = slots[int(np.argmax(score))]
+        pts[drop], vals[drop] = x, f
+        if improved:
+            base = drop
+    return pts[base].copy(), float(vals[base])
 
 
 def optimize(
@@ -319,16 +423,15 @@ def optimize(
     epoch budget, and expands its best evaluated point back.
 
     Every stage makes exactly ``schedule.epochs[stage]`` objective
-    evaluations, so the trace has ``sum(schedule.epochs)`` rows whatever the
-    COBYLA implementation does on its own:
+    evaluations, so the trace has ``sum(schedule.epochs)`` rows:
 
-    - when COBYLA converges (its trust radius reaches ``COBYLA_RHOEND``, or
-      the stage's rho if smaller) before the budget is spent, it restarts from
-      the stage's best point at that final radius, as often as the budget
-      allows;
-    - when the budget is spent, the next evaluation COBYLA asks for stops the
-      stage. A budget below the stage's logical-variable count + 2 thus cuts
-      COBYLA's initial simplex short instead of being raised to its size.
+    - each COBYLA run (:func:`_cobyla`) is handed what is left of the stage's
+      budget and returns when it is spent, so a budget below the stage's
+      logical-variable count + 1 cuts the initial simplex short;
+    - when a run converges (its trust radius reaches ``COBYLA_RHOEND``, or the
+      stage's rho if smaller) before the budget is spent, the next run starts
+      from the stage's best point at that final radius, as often as the
+      budget allows.
     """
     if spec is None:
         spec = dicke_spec_for(problem)
@@ -365,13 +468,9 @@ def optimize(
         beta = schedule.counts[stage]
         alpha = cvar_cfg.alpha_at(stage)
         stage_end = epoch + schedule.epochs[stage]
-        best_x: Optional[np.ndarray] = None
-        best_f = math.inf
 
         def objective(logical: np.ndarray) -> float:
-            nonlocal epoch, best_bits, best_energy, best_x, best_f
-            if epoch == stage_end:
-                raise _BudgetSpent
+            nonlocal epoch, best_bits, best_energy
             params = expand_params(logical, beta, preparer.num_params)
             states, multiplicity = preparer.sample(preparer.split(params), cvar_cfg.shots, rng)
             energies = cost(states)
@@ -385,8 +484,6 @@ def optimize(
                 best_bits, best_energy = int(states[low]), float(energies[low])
             expectation = float(cvar(np.repeat(energies, multiplicity), alpha))
             epoch += 1
-            if expectation < best_f:
-                best_x, best_f = np.array(logical, dtype=np.float64), expectation
             gs_prob = None if gs_bits is None else preparer.probability_of(gs_bits)
             rows.append(
                 TraceRow(
@@ -404,20 +501,11 @@ def optimize(
         x = contract_params(physical, beta)
         rho = schedule.rho[stage]
         rho_end = min(rho, COBYLA_RHOEND)
+        best_x, best_f = x, math.inf
         while epoch < stage_end:
-            try:
-                minimize(
-                    objective,
-                    x,
-                    method="COBYLA",
-                    options={
-                        "rhobeg": rho,
-                        "tol": rho_end,
-                        "maxiter": max(stage_end - epoch, x.size + 2),
-                    },
-                )
-            except _BudgetSpent:
-                break
+            run_x, run_f = _cobyla(objective, x, rho, rho_end, stage_end - epoch)
+            if run_f < best_f:
+                best_x, best_f = run_x, run_f
             # converged before the budget ran out: resume from the best point
             # at the radius the trust region shrank to
             x, rho = best_x, rho_end

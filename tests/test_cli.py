@@ -220,6 +220,83 @@ def test_portfolio_file_budget_error_cites_the_path_line(tmp_path, capsys):
     assert f"{path}:{path_line}: portfolio budget 8 outside 1..7" in err
 
 
+def _valid_portfolio_doc():
+    p = synth_assets(4, 3)
+    return {"n": 4, "q": p.q, "A": p.A.ravel().tolist(), "mu": p.mu.tolist(), "xi": 2}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: {k: v for k, v in doc.items() if k != "n"}, ": missing key 'n'"),
+        (lambda doc: [doc], ": a portfolio file holds a JSON object, got a list"),
+        (lambda doc: {**doc, "A": doc["A"][:-1]}, ": key 'A' has shape (15,); n = 4 needs 16 values"),
+        (lambda doc: {**doc, "mu": [0.1, 0.2]}, ": key 'mu' has shape (2,); n = 4 needs 4 values"),
+        (lambda doc: {**doc, "xi": 5}, ": key 'xi' = 5 outside 0..4"),
+        (lambda doc: {**doc, "q": "high"}, ": key 'q': could not convert string to float: 'high'"),
+    ],
+)
+def test_malformed_portfolio_file_names_the_file_and_key(tmp_path, capsys, edit, message):
+    instance = tmp_path / "p.json"
+    instance.write_text(json.dumps(edit(_valid_portfolio_doc())))
+    path = _write_config(tmp_path, problem={"kind": "portfolio-file", "path": str(instance)})
+    rc = main(["bruteforce", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"error: {instance}{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# nodes4\n0 1 0.5\n", ":1: malformed header token 'nodes4'"),
+        ("# nodes=4 offset=x\n0 1 0.5\n", ":1: header needs nodes=<positive integer>"),
+        ("# nodes=4\n0 1 0.5\n0 1\n", ":3: an edge line is 'u v weight', got 2 fields"),
+        ("# nodes=4\n0 9 0.5\n", ":2: node index outside 0..3 in edge '0 9 0.5'"),
+        ("# nodes=4\n2 2 0.5\n", ":2: self-loop on node 2"),
+        ("# nodes=4\n0 one 0.5\n", ":2: edge '0 one 0.5' is not 'u v weight'"),
+        ("# nodes=3\n0 1 0.5\n", ":1: bisection needs an even node count, got 3"),
+    ],
+)
+def test_malformed_graph_file_names_the_file_and_line(tmp_path, capsys, text, message):
+    instance = tmp_path / "g.txt"
+    instance.write_text(text)
+    path = _write_config(
+        tmp_path, problem={"kind": "graph-file", "path": str(instance)}, reorder="none"
+    )
+    rc = main(["bruteforce", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"error: {instance}{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n, depth, cap, message",
+    [
+        # every level-2 diagonal cell probed holds 41,409,225 or more states
+        (60, 2, None, "the smallest holds 41409225 states; raise 'cap' "
+                      "(depth 3 needs n divisible by 8, got 60)"),
+        (16, 2, 40, "the smallest holds 64 states; raise 'cap' or 'depth'"),
+    ],
+)
+def test_hard_location_over_cap_names_the_smallest_cell(tmp_path, capsys, n, depth, cap, message):
+    overrides = {"cap": cap} if cap else {}
+    path = _write_config(
+        tmp_path,
+        problem={"kind": "synth-portfolio", "n": n, "seed": 4, "budget": n // 2},
+        mode="hard",
+        depth=depth,
+        **overrides,
+    )
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    where = str(path)
+    if cap:  # a cap the config sets is cited at its line
+        lines = path.read_text().splitlines()
+        where += ":" + str(next(i for i, line in enumerate(lines, start=1) if '"cap"' in line))
+    assert f"error: {where}: every cell probed on the interpolation axis exceeds cap" in err
+    assert message in err
+
+
 @pytest.mark.parametrize(
     "section, message",
     [

@@ -1,6 +1,10 @@
 """Optimizer stack: CVaR scoring, parameter tying, metrics, staged descent."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,16 +256,23 @@ def test_optimize_staged_soft_run_recovers_optimum():
 def test_optimize_spends_exactly_each_stage_budget(monkeypatch):
     p, _ = reorder(synth_assets(8, 13), "by-return")
     slots = build_for(dicke_spec_for(p)).num_params
-    runs = []  # (logical variables, maxiter) per COBYLA run
-    original = vqe.minimize
+    runs = []  # (logical variables, evaluation budget, evaluations made) per COBYLA run
+    original = vqe._cobyla
 
-    def counting_minimize(fun, x0, **kwargs):
-        runs.append((np.size(x0), kwargs["options"]["maxiter"]))
-        return original(fun, x0, **kwargs)
+    def counting_cobyla(fun, x0, rho_beg, rho_end, maxfun):
+        calls = []
 
-    monkeypatch.setattr(vqe, "minimize", counting_minimize)
+        def counted(x):
+            calls.append(x)
+            return fun(x)
+
+        out = original(counted, x0, rho_beg, rho_end, maxfun)
+        runs.append((np.size(x0), maxfun, len(calls)))
+        return out
+
+    monkeypatch.setattr(vqe, "_cobyla", counting_cobyla)
     # stage 1: one tied angle converges long before its 60 evaluations;
-    # stage 2: 3 evaluations are fewer than the nvars + 2 of COBYLA's simplex
+    # stage 2: 3 evaluations are fewer than the nvars + 1 points of COBYLA's simplex
     schedule = CorrelationSchedule(
         counts=(slots, 1), epochs=(60, 3), rho=(0.15 * np.pi, 0.1 * np.pi)
     )
@@ -276,8 +287,82 @@ def test_optimize_spends_exactly_each_stage_budget(monkeypatch):
     assert len(rows) == sum(schedule.epochs)
     assert [r.epoch for r in rows] == list(range(1, len(rows) + 1))
     assert [sum(1 for r in rows if r.iteration == s + 1) for s in range(2)] == [60, 3]
-    assert sum(1 for nvars, _ in runs if nvars == 1) > 1  # restarted after converging
-    assert all(maxiter >= nvars + 2 for nvars, maxiter in runs)
+    first = [run for run in runs if run[0] == 1]
+    assert len(first) > 1  # restarted after converging
+    # each run is handed what is left of its stage's budget
+    assert [budget for _, budget, _ in first] == [60 - sum(r[2] for r in first[:i]) for i in range(len(first))]
+    assert sum(made for _, _, made in first) == 60
+    assert runs[len(first):] == [(slots, 3, 3)] and slots + 1 > 3  # simplex cut short
+
+
+def _quadratic(n, seed):
+    """A seeded strictly convex quadratic (Hessian eigenvalues in [1, 4])."""
+    rng = np.random.default_rng([n, seed])
+    basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    hessian = basis @ np.diag(rng.uniform(1.0, 4.0, n)) @ basis.T
+    xstar = rng.uniform(-1.0, 1.0, n)
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x))
+        d = x - xstar
+        return float(d @ hessian @ d)
+
+    return f, xstar, calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 36])
+def test_cobyla_reaches_the_minimiser_of_convex_quadratics(n):
+    budget = 60 * (n + 1)
+    for seed in range(2):
+        f, xstar, calls = _quadratic(n, seed)
+        x, fx = vqe._cobyla(f, np.zeros(n), 0.5, 1e-5, budget)
+        assert len(calls) < budget  # converged, not cut off
+        assert np.abs(x - xstar).max() < 1e-3
+        assert fx == f(x) == min(f(c) for c in calls[:-1])
+
+
+def test_cobyla_returns_on_a_constant_function():
+    calls = []
+
+    def flat(x):
+        calls.append(x)
+        return 1.0
+
+    x0 = np.linspace(0.1, 0.5, 5)
+    x, fx = vqe._cobyla(flat, x0, 0.5, 1e-4, 10**6)
+    assert fx == 1.0 and np.array_equal(x, x0)  # ties keep the earlier point
+    assert len(calls) < 200
+
+
+def test_cobyla_never_evaluates_past_its_budget():
+    for budget in range(1, 12):
+        f, _, calls = _quadratic(5, 0)
+        x, fx = vqe._cobyla(f, np.zeros(5), 0.5, 1e-4, budget)
+        assert len(calls) == budget
+        assert fx == min(f(c) for c in calls[:budget])
+
+
+def test_cobyla_runs_are_bitwise_equal():
+    f1, _, calls1 = _quadratic(20, 1)
+    f2, _, calls2 = _quadratic(20, 1)
+    x1, fx1 = vqe._cobyla(f1, np.zeros(20), 0.5, 1e-4, 400)
+    x2, fx2 = vqe._cobyla(f2, np.zeros(20), 0.5, 1e-4, 400)
+    assert x1.tobytes() == x2.tobytes() and fx1 == fx2
+    assert np.array_equal(np.array(calls1), np.array(calls2))
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(vqe.__file__).resolve().parents[1])
+    code = "import sys, hwvqe.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_optimize_constant_alpha_expectation_descends():
