@@ -596,13 +596,12 @@ def cmd_interpolate(cfg: RunConfig, args) -> int:
     spec = dicke_spec_for(prob)
     if spec.n % 2:
         cfg.fail(("problem", "n"), f"interpolation needs an even width, got {spec.n}")
-    cost = batch_evaluator(prob)
     extent = child_count(spec)
     true_line: dict[int, float] = {}
     for t in range(extent):
         sa = SubAnsatzId(spec, ((t,),))
         if subansatz_basis_count(sa) <= cfg.cap:
-            _, true_line[t] = locate.subspace_min(sa, cost, cap=cfg.cap)
+            _, true_line[t] = locate.subspace_min(sa, prob.form, cap=cfg.cap)
     capped = len(true_line) < extent
     sampled = {t: true_line[t] for t in locate.outer_indices(extent) if t in true_line}
     if len(sampled) < 3:
@@ -691,7 +690,7 @@ def cmd_bruteforce(cfg: RunConfig, args) -> int:
     count = math.comb(spec.n, spec.k)
     if count > cfg.cap:
         cfg.fail("cap", f"brute force over {count} states exceeds cap {cfg.cap}")
-    best, energy = locate.subspace_min(SubAnsatzId(spec, ()), batch_evaluator(prob), cfg.cap)
+    best, energy = locate.subspace_min(SubAnsatzId(spec, ()), prob.form, cfg.cap)
     bits = lift_bits(prob, best.bits)
     _write_json(
         out / "bruteforce.json",

@@ -23,19 +23,27 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .ansatz import DickeSpec
 from .partition import (
     SubAnsatzId,
+    bitstrings_of_weight,
     child_count,
-    enumerate_subansatz_arrays,
+    decompose,
     format_id,
     subansatz_basis_count,
 )
-from .problem import BisectionProblem, batch_evaluator, dicke_spec_for, permute
+from .problem import (
+    _EVAL_CHUNK,
+    BisectionProblem,
+    QuadraticCost,
+    batch_evaluator,
+    dicke_spec_for,
+    permute,
+)
 from .qsim import BasisState, hamming_weight
 
 __all__ = [
@@ -63,25 +71,51 @@ CostBatch = Callable[[np.ndarray], np.ndarray]
 
 
 def subspace_min(
-    sa: SubAnsatzId, cost: CostBatch, cap: int = DEFAULT_CAP
+    sa: SubAnsatzId, cost: QuadraticCost, cap: int = DEFAULT_CAP
 ) -> tuple[BasisState, float]:
     """Exact minimum of the cost over one sub-ansatz; ties go to smaller bits.
 
-    Enumeration is ascending and chunked, so the first minimum seen is the
-    numerically smallest minimizer and memory stays bounded.
+    The cell is a product of fragments. Each product is split into a head
+    and a tail group of fragments with state counts as even as the split
+    allows, and :meth:`QuadraticCost.product_min` screens head x tail and
+    costs the near-minimal states exactly. A product of one fragment, or one
+    whose groups would exceed ``_EVAL_CHUNK`` states, first has its largest
+    fragment replaced by the terms of its midpoint :func:`decompose`. The
+    results fold to the smallest ``(energy, bits)``, so they are the same as
+    costing every state of the cell.
     """
     count = subansatz_basis_count(sa)
     if count > cap:
         raise ValueError(f"sub-ansatz {format_id(sa)} holds {count} states, cap is {cap}")
-    best_bits = -1
-    best_energy = math.inf
-    for states in enumerate_subansatz_arrays(sa):
-        energies = cost(states)
-        pos = int(np.argmin(energies))
-        if energies[pos] < best_energy:
-            best_energy = float(energies[pos])
-            best_bits = int(states[pos])
-    return BasisState(best_bits, sa.parent.n), best_energy
+    bits, energy = min(_product_minima(cost, sa.fragments()), key=lambda r: (r[1], r[0]))
+    return BasisState(bits, sa.parent.n), energy
+
+
+def _product_minima(cost: QuadraticCost, frags: list[DickeSpec]) -> Iterator[tuple[int, float]]:
+    """``(bits, energy)`` of each head x tail product the fragments resolve into."""
+    sizes = [math.comb(f.n, f.k) for f in frags]
+    # head frags[:split] and tail frags[split:], the larger group as small as can be
+    group, split = min(
+        (max(math.prod(sizes[:s]), math.prod(sizes[s:])), s) for s in range(1, max(len(frags), 2))
+    )
+    if (len(frags) == 1 or group > _EVAL_CHUNK) and max(sizes) > 1:
+        at = sizes.index(max(sizes))
+        f = frags[at]
+        for _, upper, lower in decompose(f, f.n // 2):
+            yield from _product_minima(cost, frags[:at] + [upper, lower] + frags[at + 1 :])
+        return
+    tail = frags[split:]
+    yield cost.product_min(
+        _product_states(frags[:split]), _product_states(tail), sum(f.n for f in tail)
+    )
+
+
+def _product_states(frags: list[DickeSpec]) -> np.ndarray:
+    """Every state of a fragment product, fragment 0 most significant, ascending."""
+    states = np.zeros(1, dtype=np.int64)
+    for f in frags:
+        states = ((states[:, None] << f.n) | bitstrings_of_weight(f.n, f.k)).ravel()
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +269,7 @@ class CellsOverCap(ValueError):
 class _CellCache:
     """Memoized exact minima keyed by sub-ansatz id; over-cap cells pin +inf."""
 
-    def __init__(self, cost: CostBatch, cap: int):
+    def __init__(self, cost: QuadraticCost, cap: int):
         self.cost = cost
         self.cap = cap
         self.results: dict[SubAnsatzId, tuple[Optional[int], float]] = {}
@@ -338,7 +372,7 @@ def _report(
         evaluations=cache.evaluations + discarded,
     )
     if refine and candidate_bits is not None:
-        _refine_report(report, cache.cost, seed)
+        _refine_report(report, batch_evaluator(problem), seed)
     return report
 
 
@@ -365,7 +399,7 @@ def locate_soft(
         spec = dicke_spec_for(problem)
     if spec.n % 2:
         raise ValueError(f"soft location needs an even qubit count, got {spec.n}")
-    cache = _CellCache(batch_evaluator(problem), cap)
+    cache = _CellCache(problem.form, cap)
     target, curve, flags = _level_one(cache, spec)
     curves = [] if curve is None else [curve]
     discarded = 0
@@ -377,7 +411,7 @@ def locate_soft(
         else:
             problem, _ = permute(problem, np.arange(problem.n)[::-1])
             discarded = cache.evaluations
-            cache = _CellCache(batch_evaluator(problem), cap)  # energies of the reversed instance
+            cache = _CellCache(problem.form, cap)  # energies of the reversed instance
             target, curve, flags = _level_one(cache, spec)
             if curve is not None:
                 curves.append(curve)
@@ -410,7 +444,7 @@ def locate_hard(
     if iters is None:
         iters = max(1, math.ceil(math.log2(spec.n)))
 
-    cache = _CellCache(batch_evaluator(problem), cap)
+    cache = _CellCache(problem.form, cap)
     target, curve, flags = _level_one(cache, spec)
     curves = [] if curve is None else [curve]
     current = SubAnsatzId(spec, ((target,),))

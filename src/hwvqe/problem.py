@@ -228,7 +228,8 @@ Problem = Union[PortfolioProblem, BisectionProblem]
 # stay in cache: on a 2-core Xeon with numpy 2.4, 1M states at n = 26 / 40 /
 # 62 cost 0.027 / 0.059 / 0.24 s, against 0.10 / 0.17 / 0.45 s in one pass.
 # Every pass adds the same tables in the same order, so the chunking never
-# changes an energy.
+# changes an energy. It also sizes product_min's screen blocks, and
+# locate.subspace_min keeps each head or tail group within it.
 _EVAL_CHUNK = 1 << 15
 
 
@@ -258,6 +259,28 @@ class QuadraticCost:
     symmetrisation ``(Q + Q^T)/2``, 7 + 7 additions in a table's two sums of
     at most 8 terms, the scaling, the addition of ``h`` in a diagonal table,
     and ``m`` additions across tables; ``h_i`` and ``c`` pass through fewer.
+
+    Exact minima over a product ``head << w | tail`` (:meth:`product_min`)
+    screen every state as ``a[head] + b[tail] + x_head^T C x_tail`` with
+    ``C = 2 * scale * Q_sym[head bits, tail bits]``, ``a = E(head << w) -
+    E(0)`` and ``b = E(tail)``: the tables' energies of the two parts (each
+    holding ``c`` and the pinned bits, so ``E(0)`` comes off once) and the
+    cross terms between them. The states whose screen value lies within
+    ``screen_slack = 2 * (e_form + e_screen)`` of the screen's running minimum
+    are costed exactly. Here ``e_form = K u / (1 - K u) * S`` is the bound
+    above and ``e_screen = 3 * g * S`` with ``g = R u / (1 - R u)`` and ``R = K
+    + n + 4``, both over the all-bits ``S``. A contribution reaches the screen
+    through at most ``K + n + 2`` roundings: ``K`` in a table energy, one in
+    ``E(head << w) - E(0)`` and at most ``n`` in the sums over bits, or two in
+    ``C`` and at most ``n`` in the cross sum. The sums may run in any order, so
+    neither BLAS nor the thread count can break the bound. The contributions
+    of ``c`` and the pinned bits enter three times (``a``, ``b`` and ``E(0)``),
+    so they add up to at most ``3 S`` in magnitude, and the two spare
+    roundings cover the threshold's own sum. A minimiser ``x*`` then screens
+    within the slack of every state's screen value: ``s(x*) <= E(x*) + e_form
+    + e_screen <= E(x) + e_form + e_screen <= s(x) + 2 * (e_form + e_screen)``.
+    So every exact minimiser is costed, and the smallest ``(energy, bits)``
+    among the costed states is the product's own.
     """
 
     n: int
@@ -282,7 +305,7 @@ class QuadraticCost:
         """
         blocks = -(-self.n // 8)
         Q = np.zeros((8 * blocks, 8 * blocks))
-        Q[: self.n, : self.n] = (self.Q + self.Q.T) / 2.0  # bitwise Q when symmetric
+        Q[: self.n, : self.n] = self._symmetric
         h = np.zeros(8 * blocks)
         h[: self.n] = self.h
         span = [slice(8 * a, 8 * a + 8) for a in range(blocks)]
@@ -302,6 +325,75 @@ class QuadraticCost:
         ]
         return diagonal, cross
 
+    @cached_property
+    def _symmetric(self) -> np.ndarray:
+        return (self.Q + self.Q.T) / 2.0  # bitwise Q when Q is symmetric
+
+    @cached_property
+    def screen_slack(self) -> float:
+        """How far above the screen's running minimum :meth:`product_min`
+        costs states exactly: ``2 * (e_form + e_screen)``, derived in the
+        class docstring."""
+        u = 2.0 ** -53
+        blocks = -(-self.n // 8)
+        K = blocks * (blocks + 1) // 2 + 17
+        R = K + self.n + 4
+        S = (
+            abs(self.scale) * math.fsum(np.abs(self.Q).ravel())
+            + math.fsum(np.abs(self.h))
+            + abs(self.c)
+        )
+        e_form = K * u / (1.0 - K * u) * S
+        e_screen = 3.0 * R * u / (1.0 - R * u) * S
+        return 2.0 * (e_form + e_screen)
+
+    def product_min(
+        self, heads: np.ndarray, tails: np.ndarray, tail_width: int
+    ) -> tuple[int, float]:
+        """Exact ``(bits, energy)`` minimum over the states ``head << tail_width |
+        tail`` of every head and tail; ties go to the smaller state.
+
+        The head x tail screen (class docstring) runs in blocks of head rows of
+        about ``_EVAL_CHUNK`` entries, so memory holds a block, the two groups
+        and one row per head bit of cross terms against every tail. Energies
+        come from :meth:`__call__` on the states the screen confirms, so they
+        are the ones any batch would give.
+        """
+        heads = np.asarray(heads, dtype=np.int64)
+        tails = np.asarray(tails, dtype=np.int64)
+        zero = self(np.zeros(1, dtype=np.int64))[0]
+        a = self(heads << tail_width) - zero
+        head_bits = _set_bits(np.bitwise_or.reduce(heads))
+        tail_bits = _set_bits(np.bitwise_or.reduce(tails))
+        cross = (2.0 * self.scale) * self._symmetric[np.ix_(head_bits + tail_width, tail_bits)]
+        # one row per head bit, then the tail energies and ones: a screen
+        # block is then one product [head bits, 1, a] @ field
+        field = np.empty((len(head_bits) + 2, len(tails)))
+        field[:-2] = cross @ ((tails >> tail_bits[:, None]) & 1).astype(np.float64)
+        field[-2] = self(tails)
+        field[-1] = 1.0
+        rows = max(1, _EVAL_CHUNK // len(tails))
+        threshold = math.inf
+        best_energy, best_bits = math.inf, -1
+        for lo in range(0, len(heads), rows):
+            part = heads[lo : lo + rows]
+            x = np.empty((len(part), len(head_bits) + 2))
+            x[:, :-2] = (part[:, None] >> head_bits) & 1
+            x[:, -2] = 1.0
+            x[:, -1] = a[lo : lo + rows]
+            screen = x @ field
+            threshold = min(threshold, float(screen.min()) + self.screen_slack)
+            near = np.flatnonzero(screen <= threshold)
+            if not len(near):
+                continue
+            row, col = np.divmod(near, len(tails))
+            states = (part[row] << tail_width) | tails[col]
+            energies = self(states)
+            pos = int(np.lexsort((states, energies))[0])
+            if (energies[pos], states[pos]) < (best_energy, best_bits):
+                best_energy, best_bits = float(energies[pos]), int(states[pos])
+        return best_bits, best_energy
+
     def __call__(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=np.int64)
         if self.pinned:
@@ -316,6 +408,12 @@ class QuadraticCost:
             for a, b, table in cross:
                 out += table[(byte[a] << 8) | byte[b]]
         return energies
+
+
+def _set_bits(mask: int) -> np.ndarray:
+    """Positions of the set bits of ``mask``, ascending."""
+    mask = int(mask)
+    return np.array([i for i in range(mask.bit_length()) if mask >> i & 1], dtype=np.int64)
 
 
 def _subset_sums(rows: np.ndarray) -> np.ndarray:

@@ -292,7 +292,7 @@ def _exact_ground_state(problem, spec: DickeSpec) -> Optional[int]:
     """Exact ground state over the whole weight-k set when small enough."""
     if spec.n > EXACT_PROBABILITY_LIMIT:
         return None
-    return subspace_min(SubAnsatzId(spec, ()), batch_evaluator(problem))[0].bits
+    return subspace_min(SubAnsatzId(spec, ()), problem.form)[0].bits
 
 
 def _cobyla(fun, x0: np.ndarray, rho_beg: float, rho_end: float, maxfun: int):

@@ -1,10 +1,13 @@
 """Shared helpers: brute-force minima and a sparse reference simulator."""
 
+import math
+
 import numpy as np
 import pytest
 
-from hwvqe.partition import bitstrings_of_weight
+from hwvqe.partition import bitstrings_of_weight, enumerate_subansatz_arrays
 from hwvqe.problem import batch_evaluator
+from hwvqe.qsim import BasisState
 
 
 def exact_minimum(problem, n=None, k=None):
@@ -16,6 +19,23 @@ def exact_minimum(problem, n=None, k=None):
     order = np.lexsort((states, energies))
     pos = int(order[0])
     return int(states[pos]), float(energies[pos])
+
+
+def reference_subspace_min(sa, cost):
+    """Exact cell minimum by costing every state: ``subspace_min``'s reference.
+
+    Enumeration is ascending and chunked, so the first minimum seen is the
+    numerically smallest minimizer.
+    """
+    best_bits = -1
+    best_energy = math.inf
+    for states in enumerate_subansatz_arrays(sa):
+        energies = cost(states)
+        pos = int(np.argmin(energies))
+        if energies[pos] < best_energy:
+            best_energy = float(energies[pos])
+            best_bits = int(states[pos])
+    return BasisState(best_bits, sa.parent.n), best_energy
 
 
 def sparse_simulate(circuit, params, start=0):

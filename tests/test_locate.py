@@ -1,12 +1,15 @@
 """Location pipeline: cell minima, convex fits, greedy walks, drivers."""
 
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import exact_minimum
+from conftest import exact_minimum, reference_subspace_min
 from hwvqe import locate
 from hwvqe.ansatz import DickeSpec
 from hwvqe.locate import (
@@ -20,8 +23,23 @@ from hwvqe.locate import (
     outer_indices,
     subspace_min,
 )
-from hwvqe.partition import SubAnsatzId, bitstrings_of_weight, enumerate_subansatz_arrays
-from hwvqe.problem import PortfolioProblem, batch_evaluator, reorder, synth_assets, synth_graph
+from hwvqe.partition import (
+    SubAnsatzId,
+    bitstrings_of_weight,
+    child_count,
+    decompose,
+    enumerate_subansatz_arrays,
+    subansatz_basis_count,
+)
+from hwvqe.problem import (
+    BisectionProblem,
+    PortfolioProblem,
+    QuadraticCost,
+    batch_evaluator,
+    reorder,
+    synth_assets,
+    synth_graph,
+)
 from hwvqe.qsim import BasisState
 
 
@@ -48,27 +66,128 @@ def test_subspace_min_agrees_with_enumeration(rng):
 
 def test_subspace_min_tie_goes_to_smaller_bits():
     sa = SubAnsatzId(DickeSpec(8, 4), ((2,),))
-    constant = lambda states: np.zeros(len(states))
+    constant = QuadraticCost(8, 4, 0.0, np.zeros((8, 8)), np.zeros(8))
     state, energy = subspace_min(sa, constant)
     first = min(int(s) for s in np.concatenate(list(enumerate_subansatz_arrays(sa))))
     assert state.bits == first and energy == 0.0
 
 
 def test_subspace_min_ties_across_chunks_of_one_fragment():
-    # D^23_11 is one fragment of 1,352,078 states, enumerated in two chunks;
-    # the tied minima sit one in each chunk and the first must win
+    # D^23_11 is one fragment of 1,352,078 states, screened as the terms of
+    # its midpoint decomposition (11 upper bits x 12 lower bits). The form
+    # ties x, in the term of upper weight 1, with the smaller y, in the later
+    # term of upper weight 2: y must win although x is screened first.
     sa = SubAnsatzId(DickeSpec(23, 11), ())
-    assert [len(c) for c in enumerate_subansatz_arrays(sa)] == [1 << 20, 303_502]
-    states = bitstrings_of_weight(23, 11)
-    low = states[[500_000, 1_100_000]]
-    state, energy = subspace_min(sa, lambda s: np.where(np.isin(s, low), -1.0, 0.0))
-    assert state.bits == int(low[0]) and energy == -1.0
+    assert [i for i, _, _ in decompose(DickeSpec(23, 11), 11)] == list(range(12))
+    low = list(range(9))
+    x = sum(1 << i for i in low + [9, 22])
+    y = sum(1 << i for i in low + [12, 13])
+    assert [bin(s >> 12).count("1") for s in (x, y)] == [1, 2] and y < x
+    h = np.zeros(23)
+    h[low] = -2.0
+    h[[9, 22, 12, 13]] = -1.0
+    Q = np.zeros((23, 23))
+    for i, j in [(9, 12), (9, 13), (22, 12), (22, 13)]:
+        Q[i, j] = Q[j, i] = 0.5
+    form = QuadraticCost(23, 11, 1.0, Q, h)
+    assert form(np.array([x, y])).tolist() == [-20.0, -20.0]
+    state, energy = subspace_min(sa, form)
+    assert state.bits == y and energy == -20.0
+    assert (state, energy) == reference_subspace_min(sa, form)
+
+    # every state ties: the smallest of all, in the first term's first
+    # block, beats the equal screen values of every later block and term
+    constant = QuadraticCost(23, 11, 1.0, np.zeros((23, 23)), np.zeros(23), 0.5)
+    state, energy = subspace_min(sa, constant)
+    assert state.bits == int(bitstrings_of_weight(23, 11)[0]) == (1 << 11) - 1
+    assert energy == 0.5
 
 
 def test_subspace_min_respects_cap():
     sa = SubAnsatzId(DickeSpec(12, 6), ((3,),))
-    with pytest.raises(ValueError):
-        subspace_min(sa, lambda s: np.zeros(len(s)), cap=10)
+    form = QuadraticCost(12, 6, 1.0, np.ones((12, 12)), np.ones(12))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap is 10"):
+            subspace_min(sa, form, cap=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # refused before any table, group or block exists
+    assert "_tables" not in vars(form) and peak < 64 * 1024
+
+
+def _cell(draw, spec: DickeSpec, depth: int) -> SubAnsatzId:
+    """A sub-ansatz of the given depth, its ordinals drawn with the corners
+    (weight-0 and full-weight fragments) favoured."""
+    sa = SubAnsatzId(spec, ())
+    for _ in range(depth):
+        counts = [child_count(f) for f in sa.fragments()]
+        sa = sa.child(tuple(
+            draw(st.one_of(st.sampled_from([0, c - 1]), st.integers(0, c - 1))) for c in counts
+        ))
+    return sa
+
+
+@st.composite
+def _forms_and_cells(draw):
+    family = draw(st.sampled_from(["portfolio", "graph", "integer-graph", "pinned-graph", "wide"]))
+    seed = draw(st.integers(0, 2**16))
+    if family == "portfolio":
+        n = draw(st.sampled_from([8, 12, 16]))
+        p = synth_assets(n, seed, budget=draw(st.integers(1, n - 1)))
+        form, depth = p.form, draw(st.integers(0, 2 if n % 4 == 0 else 1))
+    elif family in ("graph", "integer-graph"):
+        n = draw(st.sampled_from([8, 12, 16]))
+        g = synth_graph(n, draw(st.sampled_from([0.3, 0.6, 1.0])), seed, seed + 1)
+        if family == "integer-graph":  # weights 1..3: many exact ties
+            g = BisectionProblem(n, np.ceil(3.0 * g.weights))
+        form, depth = g.form, draw(st.integers(0, 2 if n % 4 == 0 else 1))
+    elif family == "pinned-graph":  # an odd search width: depth 0 only
+        n = draw(st.sampled_from([8, 10, 14]))
+        form, depth = synth_graph(n, 0.5, seed, seed + 1, fixed_top_bit=True).form, 0
+    else:  # coefficients over 24 orders of magnitude, so the slack decides
+        n = draw(st.sampled_from([6, 8, 12]))
+        rng = np.random.default_rng(seed)
+        def wide(*shape):
+            return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.integers(-12, 13, shape)
+        form = QuadraticCost(n, draw(st.integers(0, n)), float(wide()), wide(n, n), wide(n),
+                             float(wide()))
+        depth = draw(st.integers(0, 2 if n % 4 == 0 else 1))
+    return form, _cell(draw, form.spec, depth)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_forms_and_cells())
+def test_subspace_min_matches_costing_every_state(case):
+    form, sa = case
+    state, energy = subspace_min(sa, form)
+    ref_state, ref_energy = reference_subspace_min(sa, form)
+    assert state.bits == ref_state.bits
+    assert energy.hex() == ref_energy.hex()
+
+
+@pytest.mark.parametrize(
+    "n, k, levels",
+    [
+        (26, 13, ()),  # D^26_13 at depth 0: 10,400,600 states, one fragment
+        (60, 10, ((7,), (0, 3))),  # 1 x 6435 x 455 x 1 states: unbalanced groups
+        (52, 12, ((0,),)),  # 1 x 9,657,700 states: the large fragment is decomposed
+    ],
+)
+def test_subspace_min_holds_blocks_not_groups(n, k, levels):
+    rng = np.random.default_rng(n)
+    W = np.triu(rng.random((n, n)), 1)
+    form = QuadraticCost(n, k, -1.0, W + W.T, (W + W.T).sum(axis=1))
+    form(np.zeros(1, dtype=np.int64))  # the byte tables are the form's, built once
+    sa = SubAnsatzId(DickeSpec(n, k), levels)
+    tracemalloc.start()
+    try:
+        subspace_min(sa, form, cap=subansatz_basis_count(sa))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

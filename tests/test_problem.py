@@ -14,6 +14,7 @@ from hwvqe.partition import bitstrings_of_weight
 from hwvqe.problem import (
     BisectionProblem,
     PortfolioProblem,
+    QuadraticCost,
     batch_evaluator,
     cost_binary,
     cost_bisection,
@@ -329,6 +330,44 @@ def test_energy_is_a_function_of_the_state_alone(family, n, seed, count, cut):
     assert np.array_equal(cost(states[i:j]), energies[i:j])
     order = np.random.default_rng(seed).permutation(len(states))
     assert np.array_equal(cost(states[order]), energies[order])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    family=st.sampled_from(["portfolio", "bisection", "pinned"]),
+    n=st.integers(2, 62),
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.tuples(st.integers(1, 1000), st.integers(1, 300)),
+    tie=st.booleans(),
+)
+def test_product_min_equals_costing_the_product(family, n, seed, counts, tie):
+    """The head x tail screen returns the smallest ``(energy, bits)`` of the
+    product, whatever order the heads and tails come in; ``tie`` keeps only
+    the coefficients' signs, so many states tie exactly, in different blocks."""
+    if family != "portfolio":
+        n = max(2, n - n % 2)
+    problem = _family_problem(family, n, seed, 0.9, -3.0)
+    if tie and family == "portfolio":
+        A = np.sign(np.triu(problem.A))
+        problem = PortfolioProblem(n, 1.0, A + np.triu(A, 1).T, np.sign(problem.mu), problem.budget)
+    elif tie:
+        problem = BisectionProblem(n, np.sign(problem.weights), -3.0, family == "pinned")
+    spec = dicke_spec_for(problem)
+    if spec.n < 2:
+        return
+    local = np.random.default_rng(seed)
+    width = int(local.integers(1, spec.n))
+    upper = int(local.integers(max(0, spec.k - width), min(spec.k, spec.n - width) + 1))
+    heads = local.permutation(_weight_k_states(spec.n - width, upper, counts[0], seed))
+    tails = local.permutation(_weight_k_states(width, spec.k - upper, counts[1], seed + 1))
+    bits, energy = problem.form.product_min(heads, tails, width)
+    states = ((heads[:, None] << width) | tails[None, :]).ravel()
+    energies = batch_evaluator(problem)(states)
+    pos = np.lexsort((states, energies))[0]
+    assert (bits, energy) == (int(states[pos]), float(energies[pos]))
+    # every state ties: the smallest wins from whichever block holds it
+    flat = QuadraticCost(spec.n, spec.k, 1.0, np.zeros((spec.n, spec.n)), np.zeros(spec.n), 2.5)
+    assert flat.product_min(heads, tails, width) == (int(states.min()), 2.5)
 
 
 def test_synth_assets_deterministic_and_valid():
