@@ -271,11 +271,12 @@ class QuadraticCost:
     above and ``e_screen = 3 * g * S`` with ``g = R u / (1 - R u)`` and ``R = K
     + n + 4``, both over the all-bits ``S``. A contribution reaches the screen
     through at most ``K + n + 2`` roundings: ``K`` in a table energy, one in
-    ``E(head << w) - E(0)`` and at most ``n`` in the sums over bits, or two in
-    ``C`` and at most ``n`` in the cross sum. The sums may run in any order, so
+    ``E(head << w) - E(0)`` and at most ``n + 1`` in the screen's sum over
+    the head bits, ``a`` and ``b``; or two in ``C``, then at most ``n`` in the
+    sums over tail bits and head bits. Those sums may run in any order, so
     neither BLAS nor the thread count can break the bound. The contributions
     of ``c`` and the pinned bits enter three times (``a``, ``b`` and ``E(0)``),
-    so they add up to at most ``3 S`` in magnitude, and the two spare
+    so all contributions add up to at most ``3 S`` in magnitude; the two spare
     roundings cover the threshold's own sum. A minimiser ``x*`` then screens
     within the slack of every state's screen value: ``s(x*) <= E(x*) + e_form
     + e_screen <= E(x) + e_form + e_screen <= s(x) + 2 * (e_form + e_screen)``.
