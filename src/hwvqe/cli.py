@@ -37,6 +37,8 @@ from .partition import (
     child_count,
     child_weight,
     format_id,
+    in_subansatz,
+    product_states,
     subansatz_basis_count,
 )
 from .qsim import MAX_PACKED_QUBITS, BasisState
@@ -223,12 +225,15 @@ def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
             cfg.fail("problem", f"problem kind {kind!r} requires field {field_name!r}")
     for key in cfg.problem:
         if key not in ("kind", *needed, *optional):
-            why = "; a portfolio file sets its own budget as 'xi'" if key == "budget" else ""
+            why = ""
+            if (kind, key) == ("portfolio-file", "budget"):
+                why = "; a portfolio file sets its own budget as 'xi'"
             cfg.fail(("problem", key), f"problem kind {kind!r} takes no key {key!r}{why}")
     for name in ("n", "seed", "budget", "seed_graph", "seed_weights"):
         expect(("problem", name), _is_int, "an integer")
-    for name in ("q", "p_edge", "offset"):
-        expect(("problem", name), _is_real, "a number")
+    expect(("problem", "q"), lambda v: _is_real(v) and v > 0, "a positive number")
+    expect(("problem", "p_edge"), _is_fraction, "a number in (0, 1]")
+    expect(("problem", "offset"), _is_real, "a number")
     expect(("problem", "path"), lambda v: isinstance(v, str), "a path string")
     expect(("problem", "fixed_top_bit"), lambda v: isinstance(v, bool), "true or false")
 
@@ -287,23 +292,30 @@ def build_problem(cfg: RunConfig, packed: bool = True):
     """
     spec = cfg.problem
     kind = spec["kind"]
-    if kind == "synth-portfolio":
-        prob = synth_assets(int(spec["n"]), int(spec["seed"]), q=float(spec.get("q", 0.9)))
-    elif kind == "csv-portfolio":
-        prob = ingest_csv(spec["path"], q=float(spec.get("q", 0.9)))
-    elif kind == "portfolio-file":
-        prob = load_portfolio(spec["path"])
-    elif kind == "synth-graph":
-        prob = synth_graph(
-            int(spec["n"]),
-            float(spec["p_edge"]),
-            int(spec["seed_graph"]),
-            int(spec["seed_weights"]),
-            offset=float(spec.get("offset", 0.0)),
-            fixed_top_bit=spec.get("fixed_top_bit", False),
-        )
-    else:
-        prob = load_graph(spec["path"])
+    try:
+        if kind == "synth-portfolio":
+            prob = synth_assets(int(spec["n"]), int(spec["seed"]), q=float(spec.get("q", 0.9)))
+        elif kind == "csv-portfolio":
+            prob = ingest_csv(spec["path"], q=float(spec.get("q", 0.9)))
+        elif kind == "portfolio-file":
+            prob = load_portfolio(spec["path"])
+        elif kind == "synth-graph":
+            prob = synth_graph(
+                int(spec["n"]),
+                float(spec["p_edge"]),
+                int(spec["seed_graph"]),
+                int(spec["seed_weights"]),
+                offset=float(spec.get("offset", 0.0)),
+                fixed_top_bit=spec.get("fixed_top_bit", False),
+            )
+        else:
+            prob = load_graph(spec["path"])
+    except OSError as exc:
+        cfg.fail(("problem", "path"), f"cannot read the instance file: {exc}")
+    except ValueError as exc:
+        if "path" in spec:
+            raise  # the loaders name their own file, and line where it has lines
+        cfg.fail(("problem", "n"), str(exc))  # the generators refuse only widths
     if packed and prob.n > MAX_PACKED_QUBITS:
         cfg.fail(
             ("problem", "n"),
@@ -409,6 +421,23 @@ def _check_full_width(cfg: RunConfig, spec: DickeSpec, curves: bool) -> None:
     _check_engine_memory(cfg, ("problem", "n"), spec)
 
 
+def _theta0_near(spec: DickeSpec, ordinal: int, notes: list[str]) -> float:
+    """The identical angle that concentrates mass on level-1 cell ``ordinal``.
+
+    Falls back to 0.8 pi, with a note, where the exact ratio curves are
+    unavailable or the cell lies in the left half of the axis, which
+    :func:`vqe.close_to_solution_theta` refuses.
+    """
+    if spec.n > vqe.EXACT_PROBABILITY_LIMIT:
+        why = "exact ratio curves unavailable"
+    elif 2 * ordinal < child_count(spec) - 1:
+        why = f"predicted cell {ordinal} lies in the left half"
+    else:
+        return vqe.close_to_solution_theta(spec, child_weight(spec, ordinal))
+    notes.append(f"theta0 defaulted to 0.8 pi ({why})")
+    return 0.8 * math.pi
+
+
 def cmd_solve(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     # soft location may swap in a reversed copy of the problem: the reported
@@ -439,9 +468,8 @@ def cmd_solve(cfg: RunConfig, args) -> int:
             except locate.CellsOverCap as exc:
                 cfg.fail("cap", f"{exc}; raise 'cap'")
             prob = report.problem
-            target = report.predicted.levels[0][0]
             if theta0 is None:
-                theta0 = vqe.close_to_solution_theta(spec, target)
+                theta0 = _theta0_near(spec, report.predicted.levels[0][0], notes)
     else:
         if spec.n % (1 << cfg.depth):
             cfg.fail("depth", f"depth {cfg.depth} needs n divisible by {1 << cfg.depth}, got {spec.n}")
@@ -455,11 +483,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
             cfg.fail("cap", f"{exc}; {hint}")
         target_id = report.predicted
         if theta0 is None:
-            if spec.n <= vqe.EXACT_PROBABILITY_LIMIT:
-                theta0 = vqe.close_to_solution_theta(spec, target_id.levels[0][0])
-            else:
-                theta0 = 0.8 * math.pi
-                notes.append("theta0 defaulted to 0.8 pi (exact ratio curves unavailable)")
+            theta0 = _theta0_near(spec, target_id.levels[0][0], notes)
 
     if report is not None:
         flags.update(report.flags)
@@ -476,9 +500,13 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     cvar_cfg = _cvar_from(cfg, len(schedule))
 
     if slots == 0:
-        if report.candidate_bits is None:
+        if report is None:  # location skipped: the one-state search space is the answer
+            best_bits = int(product_states(prepared.fragments())[0])
+        elif report.candidate_bits is None:
             cfg.fail("cap", f"every probed cell exceeded cap {cfg.cap}; raise 'cap'")
-        best_bits, best_energy = report.candidate_bits, report.candidate_energy
+        else:
+            best_bits = report.candidate_bits
+        best_energy = None
         rows: list[vqe.TraceRow] = []
     else:
         best, best_energy, rows = vqe.optimize(
@@ -508,7 +536,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
     solution_bits = lift_bits(prob, refined.bits)
     if cfg.mode == "hard" and report is not None and report.predicted is not None:
-        flags["possible_misestimation"] = not locate._in_subansatz(refined.bits, report.predicted)
+        flags["possible_misestimation"] = not in_subansatz(refined.bits, report.predicted)
 
     _write_text(out / "trace.csv", _header_lines(cfg) + vqe.trace_to_csv(rows))
     _write_json(
@@ -525,7 +553,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
             },
             "optimizer": {
                 "epochs": len(rows),
-                "best_sampled_energy": best_energy if slots else None,
+                "best_sampled_energy": best_energy,
             },
             "flags": {k: bool(v) for k, v in sorted(flags.items())},
             "notes": notes,
@@ -597,6 +625,13 @@ def cmd_interpolate(cfg: RunConfig, args) -> int:
     if spec.n % 2:
         cfg.fail(("problem", "n"), f"interpolation needs an even width, got {spec.n}")
     extent = child_count(spec)
+    if extent < 3:
+        key = next(k for k in ("budget", "n", "path") if k in cfg.problem)
+        cfg.fail(
+            ("problem", key),
+            f"interpolation needs at least 3 cells on the level-1 axis; "
+            f"D^{spec.n}_{spec.k} has {extent}",
+        )
     true_line: dict[int, float] = {}
     for t in range(extent):
         sa = SubAnsatzId(spec, ((t,),))

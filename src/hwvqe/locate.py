@@ -6,9 +6,9 @@ predicts which sub-ansatz holds the ground state without touching the huge
 middle cells. Two drivers build on this:
 
 * :func:`locate_soft` — one level of interpolation; when the prediction falls
-  into the left quarter, it reverses the index order (portfolios) or mirrors
-  the target (unpinned bisections), so a subsequent optimizer can start from
-  the right-leaning region it favors.
+  into the left half of the axis, it reverses the index order (portfolios) or
+  mirrors the target (unpinned bisections), so a subsequent optimizer can
+  start from the right-leaning region it favors.
 * :func:`locate_hard` — recursive: interpolate the level-1 curve, then walk
   the child grid of the chosen cell (diagonal interpolation followed by a
   cruciform greedy), recursing until the requested depth; the final cell is
@@ -30,10 +30,11 @@ import numpy as np
 from .ansatz import DickeSpec
 from .partition import (
     SubAnsatzId,
-    bitstrings_of_weight,
     child_count,
     decompose,
     format_id,
+    in_subansatz,
+    product_states,
     subansatz_basis_count,
 )
 from .problem import (
@@ -44,7 +45,7 @@ from .problem import (
     dicke_spec_for,
     permute,
 )
-from .qsim import BasisState, hamming_weight
+from .qsim import BasisState
 
 __all__ = [
     "DEFAULT_CAP",
@@ -106,16 +107,8 @@ def _product_minima(cost: QuadraticCost, frags: list[DickeSpec]) -> Iterator[tup
         return
     tail = frags[split:]
     yield cost.product_min(
-        _product_states(frags[:split]), _product_states(tail), sum(f.n for f in tail)
+        product_states(frags[:split]), product_states(tail), sum(f.n for f in tail)
     )
-
-
-def _product_states(frags: list[DickeSpec]) -> np.ndarray:
-    """Every state of a fragment product, fragment 0 most significant, ascending."""
-    states = np.zeros(1, dtype=np.int64)
-    for f in frags:
-        states = ((states[:, None] << f.n) | bitstrings_of_weight(f.n, f.k)).ravel()
-    return states
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +376,12 @@ def locate_soft(
     refine: bool = False,
     seed: Optional[int] = None,
 ) -> LocateReport:
-    """One-level location: outer-4 minima, convex fit, left-quarter reversal.
+    """One-level location: outer-4 minima, convex fit, left-half reversal.
 
-    When the fitted argmin lands at or below n/4 and no bit is pinned, the
-    problem's index order is reversed (mirroring the curve into the right
-    half) and the interpolation is redone on the reversed instance; the report
-    carries the problem that was actually evaluated last.
+    When the fitted argmin lands at or left of the level-1 axis midpoint and
+    no bit is pinned, the problem's index order is reversed (mirroring the
+    curve into the right half) and the interpolation is redone on the reversed
+    instance; the report carries the problem that was actually evaluated last.
 
     An unpinned bisection costs a split and its complement the same, so its
     cell ``i`` holds the complements of cell ``extent-1-i`` and reversal would
@@ -404,7 +397,7 @@ def locate_soft(
     curves = [] if curve is None else [curve]
     discarded = 0
 
-    if target <= spec.n // 4 and dicke_spec_for(problem).n == problem.n:
+    if 2 * target <= child_count(spec) - 1 and dicke_spec_for(problem).n == problem.n:
         if isinstance(problem, BisectionProblem):
             target = child_count(spec) - 1 - target
             flags["mirror_applied"] = True
@@ -486,18 +479,7 @@ def _refine_report(report: LocateReport, cost: CostBatch, seed: Optional[int]) -
     report.candidate_bits = final.bits
     report.candidate_energy = energy
     if report.predicted is not None:
-        report.flags["possible_misestimation"] = not _in_subansatz(final.bits, report.predicted)
-
-
-def _in_subansatz(bits: int, sa: SubAnsatzId) -> bool:
-    """Whether the bitstring's per-fragment weights match the sub-ansatz."""
-    frags = sa.fragments()
-    shift = sum(f.n for f in frags)
-    for f in frags:
-        shift -= f.n
-        if hamming_weight((bits >> shift) & ((1 << f.n) - 1)) != f.k:
-            return False
-    return True
+        report.flags["possible_misestimation"] = not in_subansatz(final.bits, report.predicted)
 
 
 # ---------------------------------------------------------------------------

@@ -30,19 +30,18 @@ import numpy as np
 
 from . import qsim
 from .ansatz import DickeSpec, build_for
-from .qsim import bitstrings_of_weight
+from .qsim import bitstrings_of_weight, hamming_weight
 
 __all__ = [
-    "PartitionSpec",
     "SubAnsatzId",
     "PartitionTree",
     "decompose",
-    "equilibrium_partition",
     "child_count",
     "child_weight",
     "subansatz_basis_count",
-    "enumerate_subansatz",
+    "product_states",
     "enumerate_subansatz_arrays",
+    "in_subansatz",
     "FragmentPreparer",
     "run_subansatz",
     "entanglement_entropy",
@@ -54,22 +53,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """A single (possibly off-center) split of a parent Dicke spec."""
-
-    parent: DickeSpec
-    j: int  # upper-fragment qubit count
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.j <= self.parent.n - 1:
-            raise ValueError(f"split point j={self.j} outside 1..{self.parent.n - 1}")
-
-
 def decompose(spec: DickeSpec, j: int) -> list[tuple[int, DickeSpec, DickeSpec]]:
     """All product terms (i, upper (j, i), lower (n-j, k-i)) with feasible weights."""
-    PartitionSpec(spec, j)  # validates j
     n, k = spec.n, spec.k
+    if not 1 <= j <= n - 1:
+        raise ValueError(f"split point j={j} outside 1..{n - 1}")
     lo = max(0, k - (n - j))
     hi = min(j, k)
     return [(i, DickeSpec(j, i), DickeSpec(n - j, k - i)) for i in range(lo, hi + 1)]
@@ -200,10 +188,6 @@ class PartitionTree:
         return sum(1 for _ in self.ids())
 
 
-def equilibrium_partition(spec: DickeSpec, p: int) -> PartitionTree:
-    return PartitionTree(spec, p)
-
-
 def loose_bound_product(n: int, p: int) -> int:
     """prod_{l=1..p} (n/2^l)^(2^(l-1)) — sub-ansatz count bound of the recursion."""
     total = 1
@@ -223,71 +207,45 @@ def subansatz_basis_count(sa: SubAnsatzId) -> int:
     return math.prod(math.comb(f.n, f.k) for f in sa.fragments())
 
 
-def enumerate_subansatz(sa: SubAnsatzId) -> Iterator[int]:
-    """Lazily yield the sub-ansatz basis states in ascending integer order."""
-    frags = sa.fragments()
-
-    def rec(pos: int, acc: int) -> Iterator[int]:
-        if pos == len(frags):
-            yield acc
-            return
-        f = frags[pos]
-        for bits in bitstrings_of_weight(f.n, f.k):
-            yield from rec(pos + 1, (acc << f.n) | int(bits))
-
-    yield from rec(0, 0)
+def product_states(frags: list[DickeSpec]) -> np.ndarray:
+    """Every state of a fragment product, fragment 0 most significant, ascending."""
+    states = np.zeros(1, dtype=np.int64)
+    for f in frags:
+        states = ((states[:, None] << f.n) | bitstrings_of_weight(f.n, f.k)).ravel()
+    return states
 
 
 def enumerate_subansatz_arrays(sa: SubAnsatzId, chunk: int = 1 << 20) -> Iterator[np.ndarray]:
-    """Vectorized enumeration in the same order, yielded in bounded chunks.
+    """The sub-ansatz basis states in ascending order, in chunks of about ``chunk``.
 
-    The deepest suffix of fragments whose full product fits in one chunk is
-    materialized with broadcasting; the remaining (more significant) fragments
-    are walked with an odometer, so chunks stay near ``chunk`` entries without
-    ever concatenating the full product. A last fragment larger than ``chunk``
-    is yielded in slices of at most ``chunk`` states (views when it is the only
-    fragment).
+    The tail is the deepest fragments whose product fits in a chunk, or the
+    last fragment alone when even that does not. A chunk joins whole tails to
+    the fewest heads (states of the other fragments) that bring it to
+    ``chunk`` states; a tail wider than a chunk comes in slices of ``chunk``.
     """
     frags = sa.fragments()
-    parts = [bitstrings_of_weight(f.n, f.k) for f in frags]
-    widths = [f.n for f in frags]
+    split = len(frags) - 1
+    while split > 0 and math.prod(math.comb(f.n, f.k) for f in frags[split - 1 :]) <= chunk:
+        split -= 1
+    tail = product_states(frags[split:])
+    heads = product_states(frags[:split]) << sum(f.n for f in frags[split:])
+    rows = -(-chunk // len(tail))
+    width = chunk if len(tail) > chunk else rows * len(tail)
+    for at in range(0, len(heads), rows):
+        block = (heads[at : at + rows, None] | tail).ravel()
+        for cut in range(0, len(block), width):
+            yield block[cut : cut + width]
 
-    # find the deepest suffix whose full product fits in one chunk
-    pos = len(parts)
-    size = 1
-    while pos > 0 and size * len(parts[pos - 1]) <= max(chunk, len(parts[pos - 1])):
-        size *= len(parts[pos - 1])
-        pos -= 1
 
-    suffix = parts[pos]
-    for p in range(pos + 1, len(parts)):
-        suffix = ((suffix[:, None] << widths[p]) | parts[p][None, :]).ravel()
-    prefix_width = sum(widths[pos:])
-
-    def heads(p: int, acc: int) -> Iterator[int]:
-        if p == pos:
-            yield acc
-            return
-        for bits in parts[p]:
-            yield from heads(p + 1, (acc << widths[p]) | int(bits))
-
-    if pos == 0 or len(suffix) > chunk:
-        for head in heads(0, 0):
-            for at in range(0, len(suffix), chunk):
-                piece = suffix[at : at + chunk]
-                yield piece if pos == 0 else (head << prefix_width) | piece
-        return
-
-    buf: list[np.ndarray] = []
-    buffered = 0
-    for head in heads(0, 0):
-        buf.append((head << prefix_width) | suffix)
-        buffered += len(suffix)
-        if buffered >= chunk:
-            yield np.concatenate(buf)
-            buf, buffered = [], 0
-    if buf:
-        yield np.concatenate(buf)
+def in_subansatz(bits: int, sa: SubAnsatzId) -> bool:
+    """Whether the bitstring's per-fragment weights match the sub-ansatz."""
+    frags = sa.fragments()
+    shift = sum(f.n for f in frags)
+    for f in frags:
+        shift -= f.n
+        if hamming_weight((bits >> shift) & ((1 << f.n) - 1)) != f.k:
+            return False
+    return True
 
 
 class FragmentPreparer:

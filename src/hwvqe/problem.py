@@ -27,7 +27,7 @@ import csv
 import datetime as _dt
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence, Union
@@ -74,7 +74,7 @@ def _as_bits(x: BasisLike) -> int:
 
 @dataclass(frozen=True)
 class PortfolioProblem:
-    """Budget-constrained mean-variance selection with unit asset prices."""
+    """Budget-constrained mean-variance selection: choose ``budget`` of ``n`` assets."""
 
     n: int
     q: float
@@ -82,7 +82,6 @@ class PortfolioProblem:
     mu: np.ndarray
     budget: int
     permutation: tuple[int, ...] = ()  # current index -> index at construction
-    prices: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         A = np.asarray(self.A, dtype=np.float64)
@@ -105,11 +104,6 @@ class PortfolioProblem:
         if sorted(perm) != list(range(self.n)):
             raise ValueError("permutation is not a permutation of 0..n-1")
         object.__setattr__(self, "permutation", perm)
-        prices = np.ones(self.n) if self.prices is None else np.asarray(self.prices, dtype=np.float64)
-        if prices.shape != (self.n,) or not np.all(prices == 1.0):
-            raise ValueError("asset prices are fixed to the all-ones vector")
-        prices.setflags(write=False)
-        object.__setattr__(self, "prices", prices)
 
     @cached_property
     def form(self) -> "QuadraticCost":
@@ -510,10 +504,10 @@ def ingest_csv(path: str | Path, q: float = 0.9, budget: int | None = None) -> P
         raise ValueError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
     if len(header) < 2 or header[0] != "date":
-        raise ValueError(f"{path}: header must be 'date,asset_0,...', got {rows[0]!r}")
+        raise ValueError(f"{path}:1: header must be 'date,asset_0,...', got {rows[0]!r}")
     n = len(header) - 1
     if len(rows) - 1 < 3:
-        raise ValueError(f"{path}: needs at least 3 price rows, found {len(rows) - 1}")
+        raise ValueError(f"{path}:{len(rows)}: needs at least 3 price rows, found {len(rows) - 1}")
 
     dates: list[_dt.date] = []
     prices = np.empty((len(rows) - 1, n))

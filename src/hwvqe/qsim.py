@@ -25,9 +25,9 @@ reads ``01`` and of their ``10`` partners), and the reordering its trailing X
 layer induces. The tables are ordered by the first block at which a pair can
 hold an amplitude, so each block gathers and scatters only a prefix of them:
 the pairs no earlier block can have reached hold zeros for any parameters.
-The dense functions (:func:`init_basis`, :func:`apply_v_block`,
-:func:`apply_circuit`) run the same kernel over whole tables on each populated
-weight sector of a dense vector.
+:func:`apply_v_block` and :func:`apply_circuit` take any state: they run the
+same kernel over whole partner tables on each weight sector the state
+populates, under the same memory cap.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -120,43 +120,28 @@ class StateVector:
     """Amplitudes of an n-qubit state.
 
     ``values[i]`` is the amplitude of basis state ``states[i]`` (ascending);
-    every other basis state has amplitude exactly 0.0. A dense vector has
-    ``states`` None and ``values`` over all 2**n states in order.
-    :attr:`amplitudes` is the dense complex128 view, built on first read.
+    every other basis state has amplitude exactly 0.0. :attr:`amplitudes` is
+    the dense complex128 view over all 2**n states, built on first read.
     """
 
-    def __init__(
-        self,
-        num_qubits: int,
-        amplitudes: Optional[np.ndarray] = None,
-        *,
-        states: Optional[np.ndarray] = None,
-        values: Optional[np.ndarray] = None,
-    ):
-        if (amplitudes is None) == (values is None):
-            raise ValueError("give either dense amplitudes or sector values")
+    def __init__(self, num_qubits: int, states: np.ndarray, values: np.ndarray):
         self.num_qubits = num_qubits
         self.states = states
-        self.values = values if amplitudes is None else amplitudes
-        self._dense = amplitudes
+        self.values = values
 
-    @property
+    @cached_property
     def amplitudes(self) -> np.ndarray:
-        if self._dense is None:
-            if self.num_qubits > MAX_DENSE_QUBITS:
-                raise ValueError(
-                    f"dense view of {self.num_qubits} qubits needs 2^{self.num_qubits} amplitudes, "
-                    f"limit 2^{MAX_DENSE_QUBITS}"
-                )
-            dense = np.zeros(1 << self.num_qubits, dtype=np.complex128)
-            dense[self.states] = self.values
-            self._dense = dense
-        return self._dense
+        if self.num_qubits > MAX_DENSE_QUBITS:
+            raise ValueError(
+                f"dense view of {self.num_qubits} qubits needs 2^{self.num_qubits} amplitudes, "
+                f"limit 2^{MAX_DENSE_QUBITS}"
+            )
+        dense = np.zeros(1 << self.num_qubits, dtype=np.complex128)
+        dense[self.states] = self.values
+        return dense
 
     def index_of(self, bits: int) -> Optional[int]:
         """Position of basis state ``bits`` in :attr:`values`, or None if not tracked."""
-        if self.states is None:
-            return bits if 0 <= bits < len(self.values) else None
         i = int(np.searchsorted(self.states, bits))
         return i if i < len(self.states) and self.states[i] == bits else None
 
@@ -229,14 +214,6 @@ def _partners(states: np.ndarray, lower: int) -> tuple[np.ndarray, np.ndarray]:
     return i01, np.searchsorted(states, states[i01] ^ (3 << lower))
 
 
-@lru_cache(maxsize=16)
-def _tables(n: int, w: int, lowers: tuple[int, ...]) -> tuple[np.ndarray, dict]:
-    """The weight-w states of n bits, ascending, and each lower qubit's partner tables."""
-    _check_sector(n, w, lowers)
-    states = bitstrings_of_weight(n, w)
-    return states, {lower: _partners(states, lower) for lower in lowers}
-
-
 def _mask(qubits: Sequence[int]) -> int:
     m = 0
     for q in qubits:
@@ -265,7 +242,6 @@ def _compile(circuit) -> tuple[int, tuple, np.ndarray, Optional[np.ndarray]]:
     _check_sector(n, w, lowers)
     sector = bitstrings_of_weight(n, w)
     begin = int(np.searchsorted(sector, start))
-    # built here, not read from the cached _tables, so the unordered tables are freed
     partners = {lower: _partners(sector, lower) for lower in lowers}
 
     # first[lower][j]: the first block on `lower` at which pair j can hold an amplitude
@@ -319,11 +295,11 @@ def simulate(circuit, params: Sequence[float]) -> StateVector:
         _rotate(a, i01, i10, float(params[slot]))
     if order is not None:
         a = a[order]
-    return StateVector(circuit.num_qubits, states=states, values=a)
+    return StateVector(circuit.num_qubits, states, a)
 
 
 # ---------------------------------------------------------------------------
-# dense entry points
+# rotating any state
 # ---------------------------------------------------------------------------
 
 
@@ -333,44 +309,51 @@ def init_basis(n: int, b: BasisLike) -> StateVector:
     bits = _bits_of(b)
     if not 0 <= bits < (1 << n):
         raise ValueError(f"basis state {bits} out of range for {n} qubits")
-    return StateVector(n, states=np.array([bits], dtype=np.int64), values=np.ones(1))
+    return StateVector(n, np.array([bits], dtype=np.int64), np.ones(1))
 
 
-def _apply_dense(
-    s: StateVector, pre: int, rotations: Sequence[tuple[int, float]], post: int
-) -> StateVector:
-    """XOR-gather by ``pre``, rotate each populated weight sector, XOR-gather by ``post``."""
+def _apply(s: StateVector, pre: int, rotations: Sequence[tuple[int, float]], post: int) -> StateVector:
+    """Flip ``pre``, rotate each weight sector the state populates, flip ``post``.
+
+    The result lists every state of those sectors, ascending.
+    """
     n = s.num_qubits
-    index = np.arange(1 << n, dtype=np.int64)
-    amps = s.amplitudes[index ^ pre]
     lowers = tuple(sorted({lower for lower, _ in rotations}))
-    for w in np.unique(hamming_weight_array(np.flatnonzero(amps))):
-        sector, partners = _tables(n, int(w), lowers)
-        vec = amps[sector]
+    flipped = s.states ^ pre
+    weights = hamming_weight_array(flipped)
+    states, values = [], []
+    for w in np.unique(weights).tolist():
+        _check_sector(n, w, lowers)
+        sector = bitstrings_of_weight(n, w)
+        partners = {lower: _partners(sector, lower) for lower in lowers}
+        vec = np.zeros(len(sector), dtype=np.result_type(s.values, np.float64))
+        mine = weights == w
+        vec[np.searchsorted(sector, flipped[mine])] = s.values[mine]
         for lower, theta in rotations:
             _rotate(vec, *partners[lower], theta)
-        amps[sector] = vec
-    if post:
-        amps = amps[index ^ post]
-    return StateVector(n, amps)
+        states.append(sector ^ post)
+        values.append(vec)
+    states = np.concatenate(states)
+    order = np.argsort(states)
+    return StateVector(n, states[order], np.concatenate(values)[order])
 
 
 def apply_v_block(s: StateVector, upper: int, lower: int, theta: float) -> StateVector:
-    """Apply one pair rotation on the adjacent pair (upper, lower); returns a new dense vector."""
+    """Apply one pair rotation on the adjacent pair (upper, lower); returns a new state."""
     if upper != lower + 1:
         raise ValueError(f"pair ({upper},{lower}) is not adjacent with upper = lower+1")
     if not 0 <= lower < upper <= s.num_qubits - 1:
         raise ValueError(f"pair ({upper},{lower}) out of range for {s.num_qubits} qubits")
-    return _apply_dense(s, 0, [(lower, float(theta))], 0)
+    return _apply(s, 0, [(lower, float(theta))], 0)
 
 
 def apply_circuit(s: StateVector, circuit, params: Sequence[float]) -> StateVector:
-    """Apply X placements, blocks in order, then any trailing X layer; returns a new dense vector."""
+    """Apply X placements, blocks in order, then any trailing X layer; returns a new state."""
     if circuit.num_qubits != s.num_qubits:
         raise ValueError(f"circuit acts on {circuit.num_qubits} qubits, state has {s.num_qubits}")
     _check_params(circuit, params)
     rotations = [(lower, float(params[slot])) for _, lower, slot in circuit.blocks]
-    return _apply_dense(s, _mask(circuit.x_placements), rotations, _mask(circuit.post_x))
+    return _apply(s, _mask(circuit.x_placements), rotations, _mask(circuit.post_x))
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +373,7 @@ def support(s: StateVector, eps: float = 1e-12) -> set[int]:
     """All basis states with probability above ``eps``."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    hits = np.flatnonzero(np.abs(s.values) ** 2 > eps)
-    if s.states is not None:
-        hits = s.states[hits]
-    return set(int(b) for b in hits)
+    return set(s.states[np.abs(s.values) ** 2 > eps].tolist())
 
 
 def draw(s: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -412,7 +392,7 @@ def draw(s: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
     order = np.argsort(u)
     picks = np.empty(shots, dtype=np.int64)
     picks[order] = cdf.searchsorted(u[order], side="right")
-    return picks if s.states is None else s.states[picks]
+    return s.states[picks]
 
 
 def sample(

@@ -1,9 +1,16 @@
 """Command-line harness: config validation, artifacts, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hwvqe import locate
 from hwvqe.ansatz import circuit_from_text
@@ -487,6 +494,51 @@ def test_solve_flags_unreachable_cell_with_exit_2(tmp_path):
     assert sol["solution"]["bits"] == "000000111111000000111111"
 
 
+@pytest.mark.parametrize(
+    "mode, budget, reorder, note",
+    [
+        ("soft", 2, "by-return", None),
+        ("soft", 9, "by-return", None),
+        ("hard", 8, "by-return", None),
+        ("hard", 10, "by-return", None),
+        ("hard", 1, "none", "theta0 defaulted to 0.8 pi (predicted cell 0 lies in the left half)"),
+    ],
+    ids=["soft-2", "soft-9", "hard-8", "hard-10", "hard-1-left-half"],
+)
+def test_solve_runs_unbalanced_budgets(tmp_path, mode, budget, reorder, note):
+    # theta0 comes from the predicted cell's upper weight, or from 0.8 pi with a
+    # note when hard mode (which never reverses) predicts a left-half cell
+    cfg = _write_config(
+        tmp_path,
+        problem={"kind": "synth-portfolio", "n": 12, "seed": 4, "q": 0.9, "budget": budget},
+        mode=mode,
+        depth=1,
+        reorder=reorder,
+    )
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    assert main(["bruteforce", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    sol = json.loads((tmp_path / "s" / "solution.json").read_text())
+    brute = json.loads((tmp_path / "b" / "bruteforce.json").read_text())
+    assert sol["solution"]["bits"] == brute["solution"]["bits"]
+    assert sol["notes"] == ([note] if note else [])
+
+
+def test_solve_takes_the_only_state_of_a_one_state_search_space(tmp_path):
+    # two nodes, the top one pinned: the odd width 1 skips location, and the
+    # weight-0 sector of one qubit has no parameters to optimize
+    cfg = _write_config(
+        tmp_path,
+        problem={"kind": "synth-graph", "n": 2, "p_edge": 0.5, "seed_graph": 1, "seed_weights": 2,
+                 "fixed_top_bit": True},
+        reorder="none",
+        theta0_pi=0.5,
+    )
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 0
+    sol = json.loads((tmp_path / "g" / "solution.json").read_text())
+    assert sol["solution"]["bits"] == "10"
+    assert sol["flags"]["locate_skipped"]
+
+
 def test_dump_circuit_round_trips(tmp_path):
     cfg = _write_config(tmp_path)
     main(["solve", "--config", str(cfg), "--out", str(tmp_path / "d"), "--dump-circuit"])
@@ -588,6 +640,23 @@ def test_interpolate_needs_three_cells_under_cap(tmp_path, capsys):
     rc = main(["interpolate", "--config", str(cfg), "--out", str(tmp_path / "i")])
     assert rc == 1
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "problem, key",
+    [
+        ({"kind": "synth-portfolio", "n": 12, "seed": 2, "budget": 1}, "budget"),
+        ({"kind": "synth-portfolio", "n": 12, "seed": 2, "budget": 11}, "budget"),
+        ({"kind": "synth-graph", "n": 2, "p_edge": 0.5, "seed_graph": 1, "seed_weights": 2}, "n"),
+    ],
+    ids=["budget-1", "budget-n-1", "two-nodes"],
+)
+def test_interpolate_on_a_two_cell_axis_cites_the_problem_line(tmp_path, capsys, problem, key):
+    cfg = _write_config(tmp_path, problem=problem, reorder="none")
+    rc = main(["interpolate", "--config", str(cfg), "--out", str(tmp_path / "i")])
+    assert rc == 1
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), start=1) if f'"{key}"' in text)
+    assert f"{cfg}:{line}: interpolation needs at least 3 cells on the level-1 axis" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -701,3 +770,137 @@ def test_reorder_policy_rejected_for_graphs(tmp_path, capsys):
     rc = main(["bruteforce", "--config", str(cfg), "--out", str(tmp_path / "b")])
     assert rc == 1
     assert "portfolio" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed inputs
+# ---------------------------------------------------------------------------
+
+_SECTION_KEYS = {
+    "top": ("problem", "mode", "depth", "reorder", "theta0_pi", "cvar", "curves", "cap", "seed"),
+    "problem": ("kind", "n", "seed", "q", "budget", "p_edge", "seed_graph", "seed_weights", "offset",
+                "fixed_top_bit", "path"),
+    "cvar": ("alpha_start", "alpha_cap", "shots"),
+    "schedule": ("counts", "epochs", "rho_pi"),
+    "curves": ("points",),
+    "study": ("alphas", "betas", "seeds", "epochs", "shots"),
+}
+_KEYS = st.sampled_from([(section, key) for section, keys in _SECTION_KEYS.items() for key in keys])
+_BAD_VALUES = st.sampled_from(["x", "", 1.5, -1, 0, 1, -0.5, 1e308, -1e308, True, None, [], [1, "a"], {}, {"a": 1}])
+_EDITS = st.one_of(
+    st.tuples(st.just("width"), st.integers(1, 64)),
+    st.tuples(st.just("budget"), st.integers(0, 62)),  # taken mod n - 1: budgets 1..n-1
+    st.tuples(st.just("mode"), st.sampled_from(["soft", "hard"]), st.integers(0, 4)),
+    st.tuples(st.just("missing"), _KEYS),
+    st.tuples(st.just("value"), _KEYS, _BAD_VALUES),
+)
+# truncate at, or drop, replace or duplicate the line at, a position taken mod the text's size
+_GARBLES = st.none() | st.tuples(
+    st.sampled_from(["truncate", "drop", "replace", "duplicate"]),
+    st.integers(0, 1 << 16),
+    st.text(alphabet="0123456789 .,-+e#=:\"{}[]abnodesxi_\t", max_size=24),
+)
+_COMMANDS = st.sampled_from(["solve", "interpolate", "bruteforce", "curves", "study", "gen-data"])
+
+
+def _garble(text, garble):
+    if garble is None:
+        return text
+    how, at, line = garble
+    lines = text.splitlines()
+    if how == "truncate" or not lines:
+        return text[: at % (len(text) + 1)]
+    i = at % len(lines)
+    if how == "drop":
+        del lines[i]
+    elif how == "replace":
+        lines[i] = line
+    else:
+        lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+def _edit(doc, edit):
+    problem = doc["problem"] if isinstance(doc.get("problem"), dict) else {}
+    if edit[0] == "width":
+        problem["n"] = edit[1]
+    elif edit[0] == "budget":
+        n = problem.get("n")
+        problem["budget"] = 1 + edit[1] % (n - 1) if isinstance(n, int) and n > 1 else 1
+    elif edit[0] == "mode":
+        doc.update(mode=edit[1], depth=edit[2])
+    else:
+        section, key = edit[1]
+        within = doc if section == "top" else doc.setdefault(section, {})
+        if isinstance(within, dict) and edit[0] == "missing":
+            within.pop(key, None)
+        elif isinstance(within, dict):
+            within[key] = edit[2]
+
+
+def _swap_in_instance(work, doc, instance):
+    """Point the problem at a garbled copy of an instance file gen-data writes for it."""
+    source = work / "synth.json"
+    source.write_text(json.dumps(doc, indent=2))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if main(["gen-data", "--config", str(source), "--out", str(work / "data")]) != 0:
+            return None
+    written = sorted((work / "data").iterdir())
+    which, garble = instance
+    path = written[which % len(written)]
+    path.write_text(_garble(path.read_text(), garble))
+    kind = {".json": "portfolio-file", ".csv": "csv-portfolio", ".txt": "graph-file"}[path.suffix]
+    doc["problem"] = {"kind": kind, "path": str(path)}
+    return path
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    base=st.sampled_from(["portfolio12", "bisection12", "portfolio40"]),
+    edits=st.lists(_EDITS, max_size=3),
+    instance=st.none() | st.tuples(st.integers(0, 1), _GARBLES),
+    config_garble=st.none() | _GARBLES,
+    command=_COMMANDS,
+)
+# an unbalanced budget in soft and in hard mode, once each
+@example(base="portfolio12", edits=[("budget", 2), ("missing", ("top", "theta0_pi"))],
+         instance=None, config_garble=None, command="solve")
+@example(base="portfolio12", edits=[("budget", 7), ("mode", "hard", 1), ("missing", ("top", "theta0_pi"))],
+         instance=None, config_garble=None, command="solve")
+# a one-state search space with location skipped, and a level-1 axis of 2 cells
+@example(base="bisection12", edits=[("width", 2)], instance=None, config_garble=None, command="solve")
+@example(base="portfolio12", edits=[("budget", 10)], instance=None, config_garble=None, command="interpolate")
+def test_fuzzed_inputs_exit_cleanly_with_a_located_message(
+    tmp_path, base, edits, instance, config_garble, command
+):
+    """Mutated bundled configs and garbled instance files end in exit 0, 1 or 2,
+    never a traceback; an exit-1 message names the config or the instance file,
+    with a line number for a non-empty file in a line-record format (graph text,
+    price CSV). Config errors cite the line of every key the file holds; a
+    portfolio JSON file's errors name the key at fault."""
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    doc = json.loads(load_config(base).raw_text)
+    # small work sections keep each run short; edits may still change them
+    doc.update(
+        cvar={"alpha_start": 0.05, "alpha_cap": 1.0, "shots": 64},
+        schedule={"counts": [2, 1], "epochs": [3, 3], "rho_pi": [0.15, 0.1]},
+        curves={"points": 3},
+        study={"alphas": [0.1], "betas": [1], "seeds": 1, "epochs": 3, "shots": 32},
+    )
+    for edit in edits:
+        _edit(doc, edit)
+    path = None if instance is None else _swap_in_instance(work, doc, instance)
+    config = work / "cfg.json"
+    config.write_text(_garble(json.dumps(doc, indent=2) + "\n", config_garble))
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(config), "--out", str(work / "out")])
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        message = err.getvalue()
+        named = next((p for p in (config, path) if p and message.startswith(f"error: {p}")), None)
+        assert named, message
+        if named.suffix in (".txt", ".csv") and named.read_text():
+            assert re.match(rf"error: {re.escape(str(named))}:\d+: ", message), message

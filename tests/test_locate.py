@@ -29,6 +29,7 @@ from hwvqe.partition import (
     child_count,
     decompose,
     enumerate_subansatz_arrays,
+    in_subansatz,
     subansatz_basis_count,
 )
 from hwvqe.problem import (
@@ -519,11 +520,11 @@ def test_in_subansatz_checks_per_fragment_weights():
     bits = 0
     for f in frags:
         bits = (bits << f.n) | ((1 << f.k) - 1)
-    assert locate._in_subansatz(bits, sa)
+    assert in_subansatz(bits, sa)
     # move one set bit across a fragment boundary: same total weight, wrong cell
     donor = next(i for i, f in enumerate(frags) if f.k > 0)
     taker = next(i for i, f in enumerate(frags) if f.k < f.n and i != donor)
     shifts = np.cumsum([0] + [f.n for f in reversed(frags)])[:-1]
     position_of = dict(zip(reversed(range(len(frags))), shifts))
     moved = bits - (1 << position_of[donor]) + (1 << (position_of[taker] + frags[taker].k))
-    assert not locate._in_subansatz(moved, sa)
+    assert not in_subansatz(moved, sa)

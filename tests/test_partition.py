@@ -17,13 +17,12 @@ from hwvqe.partition import (
     child_weight,
     decompose,
     entanglement_entropy,
-    enumerate_subansatz,
     enumerate_subansatz_arrays,
-    equilibrium_partition,
     format_id,
     loose_bound_closed,
     loose_bound_product,
     parse_id,
+    product_states,
     run_subansatz,
     subansatz_basis_count,
 )
@@ -70,7 +69,7 @@ def test_subansatz_cells_disjointly_cover_weight_set():
         spec = DickeSpec(n, n // 2)
         seen = set()
         for t in range(child_count(spec)):
-            cell = set(enumerate_subansatz(SubAnsatzId(spec, ((t,),))))
+            cell = set(product_states(SubAnsatzId(spec, ((t,),)).fragments()).tolist())
             assert not (cell & seen)
             seen |= cell
         assert seen == set(int(b) for b in bitstrings_of_weight(n, n // 2))
@@ -84,7 +83,7 @@ def test_complete_partition_yields_singletons():
         ids = list(tree.ids())
         assert len(ids) == tree.count() == math.comb(n, n // 2)
         assert all(subansatz_basis_count(sa) == 1 for sa in ids)
-        states = {next(iter(enumerate_subansatz(sa))) for sa in ids}
+        states = {int(product_states(sa.fragments())[0]) for sa in ids}
         assert len(states) == math.comb(n, n // 2)
 
 
@@ -150,13 +149,13 @@ def test_fragments_and_child_weights():
 
 
 def test_equilibrium_partition_counts():
-    tree = equilibrium_partition(DickeSpec(8, 4), 1)
+    tree = PartitionTree(DickeSpec(8, 4), 1)
     assert tree.count() == child_count(DickeSpec(8, 4)) == 5
     # depth bounded by divisibility
     with pytest.raises(ValueError):
-        equilibrium_partition(DickeSpec(12, 6), 3)
+        PartitionTree(DickeSpec(12, 6), 3)
     with pytest.raises(ValueError):
-        equilibrium_partition(DickeSpec(8, 4), 0)
+        PartitionTree(DickeSpec(8, 4), 0)
 
 
 def test_bitstrings_of_weight_ascending_and_complete():
@@ -191,7 +190,7 @@ def test_enumeration_matches_fragment_product():
         for fr, frag_bits in zip(f, combo):
             bits = (bits << fr.n) | frag_bits
         expected.add(bits)
-    assert set(enumerate_subansatz(sa)) == expected
+    assert product_states(f).tolist() == sorted(expected)
     assert subansatz_basis_count(sa) == len(expected)
 
 
@@ -199,10 +198,10 @@ def test_chunked_enumeration_equals_lazy():
     spec = DickeSpec(12, 6)
     for levels in (((4,),), ((4,), (1, 1))):
         sa = SubAnsatzId(spec, levels)
-        lazy = np.fromiter(enumerate_subansatz(sa), dtype=np.int64)
+        whole = product_states(sa.fragments())
         chunks = list(enumerate_subansatz_arrays(sa, chunk=64))
         assert all(len(c) > 0 for c in chunks)
-        assert np.array_equal(np.concatenate(chunks), lazy)
+        assert np.array_equal(np.concatenate(chunks), whole)
     # a grid much larger than the chunk is actually split
     wide = SubAnsatzId(spec, ((4,),))  # 225 states
     assert len(list(enumerate_subansatz_arrays(wide, chunk=64))) == 3
@@ -213,6 +212,11 @@ def test_one_fragment_wider_than_a_chunk_is_sliced():
     chunks = list(enumerate_subansatz_arrays(SubAnsatzId(DickeSpec(20, 10), ()), chunk=1 << 15))
     assert len(chunks) == 6 and all(len(c) <= 1 << 15 for c in chunks)
     assert np.array_equal(np.concatenate(chunks), bitstrings_of_weight(20, 10))
+    # behind another fragment: each of the 15 heads' 15 tail states in slices of at most 7
+    sa = SubAnsatzId(DickeSpec(12, 6), ((2,),))
+    chunks = list(enumerate_subansatz_arrays(sa, chunk=7))
+    assert len(chunks) == 45 and all(len(c) <= 7 for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), product_states(sa.fragments()))
 
 
 def test_hundred_qubit_outer_cells_countable():

@@ -52,7 +52,7 @@ def test_pair_rotation_preserves_norm_and_weight(rng):
     n = 5
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
-    s = StateVector(n, amps.copy())
+    s = StateVector(n, np.arange(1 << n), amps.copy())
     for lower in range(n - 1):
         s = apply_v_block(s, lower + 1, lower, rng.uniform(0, 2 * math.pi))
     assert abs(s.norm_sq() - 1.0) < 1e-12
@@ -112,12 +112,13 @@ def test_simulate_keeps_support_in_one_weight_sector(rng):
 
 
 def test_apply_circuit_equals_simulate_from_zero(rng):
-    spec = DickeSpec(5, 2)
-    circuit = build_folded(spec)
-    params = rng.uniform(0, 2 * math.pi, size=circuit.num_params)
-    via_apply = apply_circuit(init_basis(5, 0), circuit, params)
-    via_simulate = simulate(circuit, params)
-    assert np.allclose(via_apply.amplitudes, via_simulate.amplitudes, atol=1e-15)
+    # D^40_1: 40 states, whose dense view (2^40 amplitudes) is never built
+    for circuit in (build_folded(DickeSpec(5, 2)), build_for(DickeSpec(40, 1))):
+        params = rng.uniform(0, 2 * math.pi, size=circuit.num_params)
+        via_apply = apply_circuit(init_basis(circuit.num_qubits, 0), circuit, params)
+        via_simulate = simulate(circuit, params)
+        assert np.array_equal(via_apply.states, via_simulate.states)
+        assert np.allclose(via_apply.values, via_simulate.values, atol=1e-15)
 
 
 def test_simulate_rejects_wrong_parameter_count():
@@ -142,24 +143,20 @@ def test_sample_frequencies_track_born_rule():
     # |+>-like two-state superposition: frequencies near 1/2 each
     amps = np.zeros(4, dtype=np.complex128)
     amps[0b01] = amps[0b10] = 1 / math.sqrt(2)
-    counts = sample(StateVector(2, amps), 20_000, seed=0)
+    counts = sample(StateVector(2, np.arange(4), amps), 20_000, seed=0)
     assert set(counts) == {0b01, 0b10}
     assert abs(counts[0b01] / 20_000 - 0.5) < 0.02
 
 
-@pytest.mark.parametrize("dense", [False, True], ids=["sector", "dense"])
-def test_draw_equals_generator_choice(rng, dense):
+def test_draw_equals_generator_choice(rng):
     # the inverse-CDF draw consumes the stream and picks exactly as numpy's choice does
     circuit = build_folded(DickeSpec(10, 4))
     psi = simulate(circuit, rng.uniform(0, 2 * math.pi, size=circuit.num_params))
-    if dense:
-        psi = StateVector(psi.num_qubits, psi.amplitudes)
     p = np.abs(psi.values) ** 2
     p /= p.sum()
     for seed in range(50):
         picks = np.random.default_rng(seed).choice(len(p), size=1000, p=p)
-        expected = picks if dense else psi.states[picks]
-        assert np.array_equal(draw(psi, 1000, np.random.default_rng(seed)), expected)
+        assert np.array_equal(draw(psi, 1000, np.random.default_rng(seed)), psi.states[picks])
 
 
 def test_draw_never_picks_a_zero_probability_state():
@@ -176,7 +173,7 @@ def test_kernels_match_dense_matrix_reference(rng):
     dim = 1 << n
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     amps /= np.linalg.norm(amps)
-    state = StateVector(n, amps.copy())
+    state = StateVector(n, np.arange(dim), amps.copy())
     for lower in range(n - 1):
         theta = rng.uniform(0, 2 * math.pi)
         c, s = math.cos(theta / 2), math.sin(theta / 2)
@@ -216,6 +213,9 @@ def test_engine_memory_cap_refuses_large_sectors_before_allocating():
         check_engine_memory(circuit)
     with pytest.raises(ValueError, match=r"40116600 states and needs \d+ MiB"):
         simulate(circuit, np.zeros(circuit.num_params))
+    # apply_circuit rotates the same sector, under the same cap
+    with pytest.raises(ValueError, match=r"40116600 states and needs \d+ MiB"):
+        apply_circuit(init_basis(28, 0), circuit, np.zeros(circuit.num_params))
 
 
 @st.composite
@@ -236,7 +236,7 @@ def _circuit_params_start(draw):
 def _assert_matches_reference(amps, reference, weight):
     n = amps.size.bit_length() - 1
     nonzero = {b for b, a in reference.items() if abs(a) ** 2 > 1e-24}
-    assert support(StateVector(n, amps), eps=1e-24) == nonzero
+    assert support(StateVector(n, np.arange(1 << n), amps), eps=1e-24) == nonzero
     for b, a in reference.items():
         assert abs(amps[b] - a) <= 1e-12
     outside = hamming_weight_array(np.arange(1 << n)) != weight
