@@ -45,7 +45,6 @@ from .qsim import MAX_PACKED_QUBITS, BasisState
 from .problem import (
     PortfolioProblem,
     batch_evaluator,
-    dicke_spec_for,
     ingest_csv,
     lift_bits,
     load_graph,
@@ -53,6 +52,7 @@ from .problem import (
     reorder,
     save_graph,
     save_portfolio,
+    save_prices,
     synth_assets,
     synth_graph,
     synth_price_paths,
@@ -117,10 +117,17 @@ class RunConfig:
     raw_text: str = ""
 
     def fail(self, key: str | tuple[str, ...], message: str) -> NoReturn:
-        """Raise a ConfigError at the line of a top-level key or of a key path."""
-        lineno = _line_of(self.raw_text, (key,) if isinstance(key, str) else key)
-        where = f"{self.source_path}:{lineno}" if lineno else self.source_path
-        raise ConfigError(f"{where}: {message}")
+        """Raise a ConfigError at the line of a top-level key or of a key path.
+
+        A top-level key the file leaves out has no line; the message then
+        ends with a note naming that key and the default in effect.
+        """
+        path = (key,) if isinstance(key, str) else key
+        lineno = _line_of(self.raw_text, path)
+        if lineno:
+            raise ConfigError(f"{self.source_path}:{lineno}: {message}")
+        note = f"{path[0]!r} is not in the file; default {getattr(self, path[0])!r}"
+        raise ConfigError(f"{self.source_path}: {message} ({note})")
 
     def resolved(self) -> dict[str, Any]:
         """The settings a run's artifacts embed: every config key but ``out``."""
@@ -189,6 +196,16 @@ def _is_positive_int(value: Any) -> bool:
 
 def _is_fraction(value: Any) -> bool:
     return _is_real(value) and 0.0 < value <= 1.0
+
+
+# One objective evaluation peaks at 73 bytes per shot, in np.unique in
+# FragmentPreparer.sample: nine shots-long int64 arrays (the draws, the last
+# fragment's draws, and np.unique's copy, sort order, sorted copy, distinct
+# states, first-draw indices, run bounds and counts) and a bool mask. qsim.draw
+# holds seven and the CVaR in optimize six. tracemalloc read 8.9 x 8 bytes per
+# shot at 2**20 shots, 94% of them distinct.
+_SHOT_BYTES = 9 * 8 + 1
+_MAX_SHOTS = qsim.MAX_ENGINE_BYTES // _SHOT_BYTES
 
 
 def _is_array_of(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
@@ -270,12 +287,15 @@ def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
         expect(("cvar", k), _is_fraction, "a number in (0, 1]")
     if "alpha_start" in cv and "alpha_cap" in cv and cv["alpha_start"] > cv["alpha_cap"]:
         cfg.fail(("cvar", "alpha_start"), "alpha_start exceeds alpha_cap")
-    expect(("cvar", "shots"), _is_positive_int, "a positive integer")
+    for path in (("cvar", "shots"), ("study", "shots")):
+        expect(path, lambda v: _is_positive_int(v) and v <= _MAX_SHOTS,
+               f"a positive integer of at most {_MAX_SHOTS} ({_SHOT_BYTES} bytes per shot "
+               f"within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap)")
 
     expect(("study", "alphas"), _is_array_of(_is_fraction), "a non-empty array of numbers in (0, 1]")
     expect(("study", "betas"), _is_array_of(_is_positive_int), "a non-empty array of positive integers")
     expect(("study", "seeds"), _is_positive_int, "a positive integer (a count of consecutive seeds, not a list)")
-    for path in (("study", "epochs"), ("study", "shots"), ("curves", "points")):
+    for path in (("study", "epochs"), ("curves", "points")):
         expect(path, _is_positive_int, "a positive integer")
 
 
@@ -443,7 +463,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     # soft location may swap in a reversed copy of the problem: the reported
     # bits use the index order of the copy it ends with
     prob = build_problem(cfg)
-    spec = dicke_spec_for(prob)
+    spec = prob.form.spec
     flags: dict[str, bool] = {}
     notes: list[str] = []
 
@@ -464,7 +484,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
             flags["locate_skipped"] = True
         else:
             try:
-                report = locate.locate_soft(prob, spec, cap=cfg.cap, seed=cfg.seed)
+                report = locate.locate_soft(prob, cap=cfg.cap)
             except locate.CellsOverCap as exc:
                 cfg.fail("cap", f"{exc}; raise 'cap'")
             prob = report.problem
@@ -474,7 +494,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         if spec.n % (1 << cfg.depth):
             cfg.fail("depth", f"depth {cfg.depth} needs n divisible by {1 << cfg.depth}, got {spec.n}")
         try:
-            report = locate.locate_hard(prob, spec, p=cfg.depth, cap=cfg.cap, seed=cfg.seed)
+            report = locate.locate_hard(prob, p=cfg.depth, cap=cfg.cap)
         except locate.CellsOverCap as exc:
             finer = 1 << (cfg.depth + 1)
             hint = "raise 'cap' or 'depth'" if spec.n % finer == 0 else (
@@ -511,7 +531,6 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     else:
         best, best_energy, rows = vqe.optimize(
             prob,
-            spec,
             mode=cfg.mode,
             target=target_id,
             theta0=theta0,
@@ -590,7 +609,7 @@ def _problem_summary(prob) -> dict[str, Any]:
 def cmd_curves(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     prob = build_problem(cfg)
-    spec = dicke_spec_for(prob)
+    spec = prob.form.spec
     if spec.n % 2 or spec.n > vqe.EXACT_PROBABILITY_LIMIT:
         cfg.fail(
             ("problem", "n"),
@@ -621,7 +640,7 @@ def cmd_curves(cfg: RunConfig, args) -> int:
 def cmd_interpolate(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     prob = build_problem(cfg)
-    spec = dicke_spec_for(prob)
+    spec = prob.form.spec
     if spec.n % 2:
         cfg.fail(("problem", "n"), f"interpolation needs an even width, got {spec.n}")
     extent = child_count(spec)
@@ -676,7 +695,7 @@ def cmd_interpolate(cfg: RunConfig, args) -> int:
 def cmd_study(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     prob = build_problem(cfg)
-    spec = dicke_spec_for(prob)
+    spec = prob.form.spec
     _check_full_width(cfg, spec, curves=False)
     slots = build_for(spec).num_params
     st = cfg.study
@@ -685,7 +704,7 @@ def cmd_study(cfg: RunConfig, args) -> int:
     seeds = [cfg.seed + i for i in range(int(st.get("seeds", 20)))]
     theta0 = (cfg.theta0_pi if cfg.theta0_pi is not None else 0.8) * math.pi
     study = functools.partial(
-        vqe.bounded_cvar_study, prob, spec, seeds=seeds, epochs=int(st.get("epochs", 80)),
+        vqe.bounded_cvar_study, prob, seeds=seeds, epochs=int(st.get("epochs", 80)),
         shots=int(st.get("shots", 1024)), theta0=theta0,
     )
     # one (alpha, beta) cell per call
@@ -721,7 +740,7 @@ def cmd_study(cfg: RunConfig, args) -> int:
 def cmd_bruteforce(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     prob = build_problem(cfg)
-    spec = dicke_spec_for(prob)
+    spec = prob.form.spec
     count = math.comb(spec.n, spec.k)
     if count > cfg.cap:
         cfg.fail("cap", f"brute force over {count} states exceeds cap {cfg.cap}")
@@ -748,29 +767,15 @@ def cmd_gen_data(cfg: RunConfig, args) -> int:
         save_portfolio(prob, out / "portfolio.json")
         written = [out / "portfolio.json"]
         if cfg.problem["kind"] == "synth-portfolio":
-            csv_path = out / "prices.csv"
-            _write_prices_csv(cfg, csv_path)
-            written.append(csv_path)
+            prices = synth_price_paths(int(cfg.problem["n"]), int(cfg.problem["seed"]))
+            save_prices(prices, out / "prices.csv")
+            written.append(out / "prices.csv")
     else:
         save_graph(prob, out / "graph.txt")
         written = [out / "graph.txt"]
     for path in written:
         print(f"wrote {path}")
     return 0
-
-
-def _write_prices_csv(cfg: RunConfig, path: Path) -> None:
-    import datetime as dt
-
-    n = int(cfg.problem["n"])
-    seed = int(cfg.problem["seed"])
-    prices = synth_price_paths(n, seed)
-    day = dt.date(2020, 1, 1)
-    lines = ["date," + ",".join(f"asset_{i}" for i in range(n))]
-    for row in prices:
-        lines.append(day.isoformat() + "," + ",".join(repr(float(v)) for v in row))
-        day += dt.timedelta(days=1)
-    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .problem import (
     BisectionProblem,
     QuadraticCost,
     batch_evaluator,
-    dicke_spec_for,
     permute,
 )
 from .qsim import BasisState
@@ -371,12 +370,12 @@ def _report(
 
 def locate_soft(
     problem,
-    spec: Optional[DickeSpec] = None,
     cap: int = DEFAULT_CAP,
     refine: bool = False,
     seed: Optional[int] = None,
 ) -> LocateReport:
-    """One-level location: outer-4 minima, convex fit, left-half reversal.
+    """One-level location over ``problem.form.spec``: outer-4 minima, convex
+    fit, left-half reversal.
 
     When the fitted argmin lands at or left of the level-1 axis midpoint and
     no bit is pinned, the problem's index order is reversed (mirroring the
@@ -388,8 +387,7 @@ def locate_soft(
     reproduce the same curve. There the target itself is mirrored instead,
     with no re-evaluation, and ``mirror_applied`` is flagged.
     """
-    if spec is None:
-        spec = dicke_spec_for(problem)
+    spec = problem.form.spec
     if spec.n % 2:
         raise ValueError(f"soft location needs an even qubit count, got {spec.n}")
     cache = _CellCache(problem.form, cap)
@@ -397,7 +395,7 @@ def locate_soft(
     curves = [] if curve is None else [curve]
     discarded = 0
 
-    if 2 * target <= child_count(spec) - 1 and dicke_spec_for(problem).n == problem.n:
+    if 2 * target <= child_count(spec) - 1 and spec.n == problem.n:
         if isinstance(problem, BisectionProblem):
             target = child_count(spec) - 1 - target
             flags["mirror_applied"] = True
@@ -416,26 +414,24 @@ def locate_soft(
 
 def locate_hard(
     problem,
-    spec: Optional[DickeSpec] = None,
     p: int = 2,
-    iters: Optional[int] = None,
     cap: int = DEFAULT_CAP,
     refine: bool = False,
     seed: Optional[int] = None,
 ) -> LocateReport:
-    """Recursive location: level-1 curve, then per-level diagonal + cruciform.
+    """Recursive location over ``problem.form.spec``: level-1 curve, then
+    per-level diagonal + cruciform.
 
     Each level splits every fragment of the current cell in half; the child
     grid (one axis per fragment) is probed on its main diagonal, interpolated,
-    and walked with a cruciform greedy from the diagonal argmin. The final
-    cell is solved exactly and becomes the candidate.
+    and walked with a cruciform greedy of at most ``ceil(log2 n)`` steps from
+    the diagonal argmin. The final cell is solved exactly and becomes the
+    candidate.
     """
-    if spec is None:
-        spec = dicke_spec_for(problem)
+    spec = problem.form.spec
     if spec.n % (1 << p):
         raise ValueError(f"n={spec.n} does not support {p} recursive splits")
-    if iters is None:
-        iters = max(1, math.ceil(math.log2(spec.n)))
+    iters = max(1, math.ceil(math.log2(spec.n)))
 
     cache = _CellCache(problem.form, cap)
     target, curve, flags = _level_one(cache, spec)

@@ -48,6 +48,7 @@ __all__ = [
     "permute",
     "reorder",
     "ingest_csv",
+    "save_prices",
     "synth_assets",
     "synth_price_paths",
     "synth_graph",
@@ -55,7 +56,6 @@ __all__ = [
     "load_portfolio",
     "save_graph",
     "load_graph",
-    "dicke_spec_for",
     "batch_evaluator",
     "lift_bits",
 ]
@@ -288,6 +288,7 @@ class QuadraticCost:
 
     @property
     def spec(self) -> DickeSpec:
+        """The weight sector the search runs over (pinned bits excluded)."""
         fixed = hamming_weight(self.pinned)
         return DickeSpec(self.n - fixed, self.k - fixed)
 
@@ -423,11 +424,6 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def dicke_spec_for(problem: Problem) -> DickeSpec:
-    """The weight sector the search runs over (pinned bits excluded)."""
-    return problem.form.spec
-
-
 def lift_bits(problem: Problem, bits: int) -> int:
     """A search-width bitstring as a problem-width one (pinned bits set)."""
     return bits | problem.form.pinned
@@ -437,7 +433,7 @@ def batch_evaluator(problem: Problem) -> Callable[[np.ndarray], np.ndarray]:
     """The problem's cost as a pure function from int64 basis states to energies.
 
     Use the result only as that function: read the spec and the lift through
-    :func:`dicke_spec_for` and :func:`lift_bits`.
+    ``problem.form.spec`` and :func:`lift_bits`.
     """
     return problem.form
 
@@ -538,18 +534,27 @@ def ingest_csv(path: str | Path, q: float = 0.9, budget: int | None = None) -> P
     return PortfolioProblem(n=n, q=q, A=A, mu=mu, budget=budget)
 
 
-def synth_price_paths(
-    n: int, seed: int, periods: int = 252, num_factors: int = 3
-) -> np.ndarray:
-    """Seeded factor-model closing prices, shape (periods + 1, n), row 0 all ones.
+def save_prices(prices: np.ndarray, path: str | Path) -> None:
+    """Write closing prices, one row per day from 2020-01-01, as the
+    ``date,asset_0,...`` table that :func:`ingest_csv` reads."""
+    day = _dt.date(2020, 1, 1)
+    lines = ["date," + ",".join(f"asset_{i}" for i in range(prices.shape[1]))]
+    for row in prices:
+        lines.append(day.isoformat() + "," + ",".join(repr(float(v)) for v in row))
+        day += _dt.timedelta(days=1)
+    Path(path).write_text("\n".join(lines) + "\n")
 
-    Per-asset drifts and volatilities are drawn once; daily shocks mix a few
-    common factors with idiosyncratic noise; prices compound multiplicatively.
+
+def synth_price_paths(n: int, seed: int) -> np.ndarray:
+    """Seeded factor-model closing prices, shape (253, n), row 0 all ones.
+
+    Per-asset drifts and volatilities are drawn once; daily shocks over 252
+    periods mix 3 common factors with idiosyncratic noise; prices compound
+    multiplicatively.
     """
     if n < 2:
         raise ValueError(f"need at least 2 assets, got {n}")
-    if periods < 3:
-        raise ValueError(f"need at least 3 periods, got {periods}")
+    periods, num_factors = 252, 3
     rng = np.random.default_rng(seed)
     drift = rng.uniform(0.0008, 0.0045, size=n)
     vol = rng.uniform(0.005, 0.025, size=n)
@@ -568,11 +573,9 @@ def synth_assets(
     seed: int,
     q: float = 0.9,
     budget: int | None = None,
-    periods: int = 252,
-    num_factors: int = 3,
 ) -> PortfolioProblem:
     """Seeded price paths pushed through the same pipeline as CSV ingestion."""
-    prices = synth_price_paths(n, seed, periods=periods, num_factors=num_factors)
+    prices = synth_price_paths(n, seed)
     mu, A = _stats_from_prices(prices)
     if budget is None:
         budget = n // 2

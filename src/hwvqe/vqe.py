@@ -28,7 +28,7 @@ from . import qsim
 from .ansatz import DickeSpec, build_for
 from .locate import subspace_min
 from .partition import FragmentPreparer, SubAnsatzId, child_count, child_weight
-from .problem import batch_evaluator, dicke_spec_for
+from .problem import batch_evaluator
 from .qsim import hamming_weight_array
 
 __all__ = [
@@ -225,20 +225,16 @@ def ratio_variance_curves(spec: DickeSpec, grid: Sequence[float]) -> PrincipalCo
 
 
 DEFAULT_THETA_GRID = tuple(np.linspace(0.0, np.pi, 21))
+_UPPER_THETAS = np.array([t for t in DEFAULT_THETA_GRID if np.pi / 2.0 <= t < np.pi])
 
 
-def close_to_solution_theta(
-    spec: DickeSpec,
-    target: int,
-    grid: Sequence[float] = DEFAULT_THETA_GRID,
-    hillside: float = 0.6,
-) -> float:
+def close_to_solution_theta(spec: DickeSpec, target: int) -> float:
     """Identical-angle initialization concentrating mass on the target cell.
 
-    Scans the grid's upper half [pi/2, pi), takes the angle maximizing the
-    target's ratio, then backs off one grid point toward pi/2 when that point
-    keeps at least ``hillside`` of the peak — trading a little mass for a
-    position on the slope where the optimizer retains mobility.
+    Scans the upper half [pi/2, pi) of ``DEFAULT_THETA_GRID``, takes the angle
+    maximizing the target's ratio, then backs off one grid point toward pi/2
+    when that point keeps at least 0.6 of the peak — trading a little mass for
+    a position on the slope where the optimizer retains mobility.
     """
     lo = child_weight(spec, 0)
     hi = lo + child_count(spec) - 1
@@ -246,16 +242,11 @@ def close_to_solution_theta(
         raise ValueError(f"target index {target} outside {lo}..{hi}")
     if 2 * (target - lo) < hi - lo:
         raise ValueError(f"target {target} lies in the left half; reverse the problem first")
-    grid = np.asarray(sorted(set(float(t) for t in grid)))
-    admissible = grid[(grid >= np.pi / 2.0) & (grid < np.pi)]
-    if admissible.size == 0:
-        raise ValueError("no grid points in [pi/2, pi)")
-    metrics = ratio_variance_curves(spec, admissible)
-    curve = metrics.ratios[:, target - lo]
+    curve = ratio_variance_curves(spec, _UPPER_THETAS).ratios[:, target - lo]
     peak = int(np.argmax(curve))
-    if peak > 0 and curve[peak - 1] >= hillside * curve[peak]:
+    if peak > 0 and curve[peak - 1] >= 0.6 * curve[peak]:
         peak -= 1
-    return float(admissible[peak])
+    return float(_UPPER_THETAS[peak])
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +395,21 @@ def _cobyla(fun, x0: np.ndarray, rho_beg: float, rho_end: float, maxfun: int):
 
 def optimize(
     problem,
-    spec: Optional[DickeSpec] = None,
+    *,
+    cvar_cfg: CVaRConfig,
+    schedule: CorrelationSchedule,
     mode: str = "soft",
     target: Optional[SubAnsatzId] = None,
     theta0: float = 0.8 * np.pi,
-    cvar_cfg: Optional[CVaRConfig] = None,
-    schedule: Optional[CorrelationSchedule] = None,
     seed: Optional[int] = None,
 ) -> tuple[qsim.BasisState, float, list[TraceRow]]:
     """Staged CVaR minimization; returns the best sampled state and the trace.
 
     Both modes prepare a product of independently simulated fragments
     (:class:`~hwvqe.partition.FragmentPreparer`): soft mode the depth-0
-    sub-ansatz ``SubAnsatzId(spec, ())``, i.e. the full-width ansatz as one
-    fragment; hard mode the located ``target``, so the only statevectors built
-    are fragment-sized. Each stage contracts the previous
+    sub-ansatz ``SubAnsatzId(problem.form.spec, ())``, i.e. the full-width
+    ansatz as one fragment; hard mode the located ``target``, so the only
+    statevectors built are fragment-sized. Each stage contracts the previous
     physical angles into the new grouping, runs the trust-region loop for its
     epoch budget, and expands its best evaluated point back.
 
@@ -433,13 +424,7 @@ def optimize(
       from the stage's best point at that final radius, as often as the
       budget allows.
     """
-    if spec is None:
-        spec = dicke_spec_for(problem)
-    if cvar_cfg is None:
-        cvar_cfg = CVaRConfig(alpha=0.5)
-    if schedule is None:
-        schedule = CorrelationSchedule(counts=(1,), epochs=(60,), rho=(0.15 * np.pi,))
-
+    spec = problem.form.spec
     if mode == "soft":
         target = SubAnsatzId(spec, ())
     elif mode != "hard":
@@ -523,25 +508,22 @@ def optimize(
 
 def bounded_cvar_study(
     problem,
-    spec: Optional[DickeSpec] = None,
-    alphas: Sequence[float] = (0.01, 0.05, 0.1, 0.2),
-    betas: Sequence[int] = (1, 10, 20, 40),
-    seeds: Sequence[int] = tuple(range(20)),
-    epochs: int = 80,
+    alphas: Sequence[float],
+    betas: Sequence[int],
+    seeds: Sequence[int],
+    epochs: int,
     shots: int = 1024,
     theta0: float = 0.8 * np.pi,
-    rho: float = 0.15 * np.pi,
 ) -> dict[tuple[float, int], list[list[float]]]:
     """Fixed-(alpha, beta) convergence traces over a seed ensemble.
 
-    Group sizes are clamped to the slot count, so the canonical {1,10,20,40}
-    grid adapts to smaller circuits, and group sizes that clamp alike run
-    once; each cell holds one expectation-per-epoch list per seed. The
-    circuit must fit the engine's memory cap.
+    Each trace is one soft-mode :func:`optimize` of ``epochs`` evaluations at
+    trust radius 0.15 pi. Group sizes are clamped to the slot count, so the
+    canonical {1,10,20,40} grid adapts to smaller circuits, and group sizes
+    that clamp alike run once; each cell holds one expectation-per-epoch list
+    per seed. The circuit must fit the engine's memory cap.
     """
-    if spec is None:
-        spec = dicke_spec_for(problem)
-    circuit = build_for(spec)
+    circuit = build_for(problem.form.spec)
     qsim.check_engine_memory(circuit)
     clamped = dict.fromkeys(min(int(b), circuit.num_params) for b in betas)
     table: dict[tuple[float, int], list[list[float]]] = {}
@@ -551,11 +533,11 @@ def bounded_cvar_study(
             for seed in seeds:
                 _, _, rows = optimize(
                     problem,
-                    spec,
-                    mode="soft",
-                    theta0=theta0,
                     cvar_cfg=CVaRConfig(alpha=float(alpha), shots=shots),
-                    schedule=CorrelationSchedule(counts=(beta,), epochs=(epochs,), rho=(rho,)),
+                    schedule=CorrelationSchedule(
+                        counts=(beta,), epochs=(epochs,), rho=(0.15 * np.pi,)
+                    ),
+                    theta0=theta0,
                     seed=seed,
                 )
                 traces.append([r.expectation for r in rows])

@@ -305,6 +305,25 @@ def test_hard_location_over_cap_names_the_smallest_cell(tmp_path, capsys, n, dep
 
 
 @pytest.mark.parametrize(
+    "command, problem, mode, message",
+    [
+        ("bruteforce", {"kind": "synth-portfolio", "n": 28, "seed": 4, "budget": 14}, "soft",
+         "brute force over 40116600 states exceeds cap 10000000 ('cap' is not in the file; default 10000000)"),
+        ("solve", {"kind": "synth-portfolio", "n": 6, "seed": 4}, "hard",
+         "depth 2 needs n divisible by 4, got 6 ('depth' is not in the file; default 2)"),
+    ],
+    ids=["bruteforce-default-cap", "hard-default-depth"],
+)
+def test_error_about_an_absent_key_names_the_key_and_its_default(
+    tmp_path, capsys, command, problem, mode, message
+):
+    path = _write_config(tmp_path, problem=problem, mode=mode)
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "section, message",
     [
         ('"study": {"seed": 3}', "unknown key 'seed' in study; it reads alphas, betas, seeds, epochs, shots"),
@@ -871,6 +890,11 @@ def _swap_in_instance(work, doc, instance):
 # a one-state search space with location skipped, and a level-1 axis of 2 cells
 @example(base="bisection12", edits=[("width", 2)], instance=None, config_garble=None, command="solve")
 @example(base="portfolio12", edits=[("budget", 10)], instance=None, config_garble=None, command="interpolate")
+# shot counts whose draws could never be allocated
+@example(base="portfolio12", edits=[("value", ("cvar", "shots"), 2**62)], instance=None,
+         config_garble=None, command="solve")
+@example(base="portfolio12", edits=[("value", ("study", "shots"), 2**62)], instance=None,
+         config_garble=None, command="study")
 def test_fuzzed_inputs_exit_cleanly_with_a_located_message(
     tmp_path, base, edits, instance, config_garble, command
 ):

@@ -403,9 +403,9 @@ def test_locate_soft_mirrors_left_target_of_unpinned_graph():
 
 
 def test_locate_soft_rejects_odd_width():
-    p = _portfolio(1, n=12)
+    p = _portfolio(1, n=11)
     with pytest.raises(ValueError):
-        locate_soft(p, spec=DickeSpec(11, 5))
+        locate_soft(p)
 
 
 def test_locate_soft_refinement_descends():

@@ -18,7 +18,6 @@ from hwvqe.problem import (
     batch_evaluator,
     cost_binary,
     cost_bisection,
-    dicke_spec_for,
     ingest_csv,
     lift_bits,
     load_graph,
@@ -183,7 +182,7 @@ def test_reverse_nodes_mirrors_cost():
 
 def test_reduced_bisection_equals_pinned_full_cost():
     g = synth_graph(8, 0.6, seed_graph=11, seed_weights=12, fixed_top_bit=True)
-    assert dicke_spec_for(g) == DickeSpec(7, 3)
+    assert g.form.spec == DickeSpec(7, 3)
     states = bitstrings_of_weight(7, 3).astype(np.int64)
     reduced_costs = batch_evaluator(g)(states)
     for bits, value in zip(states, reduced_costs):
@@ -194,11 +193,11 @@ def test_reduced_bisection_equals_pinned_full_cost():
 
 def test_dicke_spec_for_all_problem_shapes():
     p = synth_assets(8, 1, budget=3)
-    assert dicke_spec_for(p) == DickeSpec(8, 3)
+    assert p.form.spec == DickeSpec(8, 3)
     g = synth_graph(8, 0.5, 1, 2)
-    assert dicke_spec_for(g) == DickeSpec(8, 4)
+    assert g.form.spec == DickeSpec(8, 4)
     gf = synth_graph(8, 0.5, 1, 2, fixed_top_bit=True)
-    assert dicke_spec_for(gf) == DickeSpec(7, 3)
+    assert gf.form.spec == DickeSpec(7, 3)
     assert lift_bits(g, 0b101) == 0b101 and lift_bits(gf, 0b101) == 0b10000101
 
 
@@ -292,7 +291,7 @@ def test_batch_evaluator_matches_the_per_family_formulas(family, n, seed, q, off
     if family != "portfolio":
         n = max(2, n - n % 2)
     problem = _family_problem(family, n, seed, q, offset)
-    spec = dicke_spec_for(problem)
+    spec = problem.form.spec
     states = _weight_k_states(spec.n, spec.k, 64, seed)
     full = np.array([lift_bits(problem, int(s)) for s in states], dtype=np.int64)
     cost = batch_evaluator(problem)
@@ -320,7 +319,7 @@ def test_energy_is_a_function_of_the_state_alone(family, n, seed, count, cut):
     if family != "portfolio":
         n -= n % 2
     problem = _family_problem(family, n, seed, 0.9, -3.0)
-    spec = dicke_spec_for(problem)
+    spec = problem.form.spec
     states = _weight_k_states(spec.n, spec.k, count, seed)
     cost = batch_evaluator(problem)
     energies = cost(states)
@@ -352,7 +351,7 @@ def test_product_min_equals_costing_the_product(family, n, seed, counts, tie):
         problem = PortfolioProblem(n, 1.0, A + np.triu(A, 1).T, np.sign(problem.mu), problem.budget)
     elif tie:
         problem = BisectionProblem(n, np.sign(problem.weights), -3.0, family == "pinned")
-    spec = dicke_spec_for(problem)
+    spec = problem.form.spec
     if spec.n < 2:
         return
     local = np.random.default_rng(seed)

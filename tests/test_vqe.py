@@ -13,7 +13,7 @@ from conftest import exact_minimum, sparse_simulate
 from hwvqe import locate, qsim, vqe
 from hwvqe.ansatz import DickeSpec, build_for
 from hwvqe.partition import enumerate_subansatz_arrays
-from hwvqe.problem import batch_evaluator, dicke_spec_for, reorder, synth_assets
+from hwvqe.problem import batch_evaluator, reorder, synth_assets
 from hwvqe.vqe import (
     TRACE_HEADER,
     CorrelationSchedule,
@@ -188,8 +188,6 @@ def test_close_to_solution_rejects_left_half_targets():
         close_to_solution_theta(spec, 1)
     with pytest.raises(ValueError):
         close_to_solution_theta(spec, 7)  # outside 0..6
-    with pytest.raises(ValueError):
-        close_to_solution_theta(spec, 5, grid=[0.1, 0.2])  # nothing in [pi/2, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +253,7 @@ def test_optimize_staged_soft_run_recovers_optimum():
 @pytest.mark.filterwarnings("error")
 def test_optimize_spends_exactly_each_stage_budget(monkeypatch):
     p, _ = reorder(synth_assets(8, 13), "by-return")
-    slots = build_for(dicke_spec_for(p)).num_params
+    slots = build_for(p.form.spec).num_params
     runs = []  # (logical variables, evaluation budget, evaluations made) per COBYLA run
     original = vqe._cobyla
 
@@ -418,13 +416,16 @@ def test_optimize_hard_mode_stays_fragment_sized(monkeypatch):
 
 def test_optimize_validation():
     p = synth_assets(8, 2)
+    cvar_cfg = CVaRConfig(alpha=0.5)
+    schedule = CorrelationSchedule(counts=(1,), epochs=(60,), rho=(0.15 * np.pi,))
     with pytest.raises(ValueError):
-        optimize(p, mode="hard")  # no target
+        optimize(p, cvar_cfg=cvar_cfg, schedule=schedule, mode="hard")  # no target
     with pytest.raises(ValueError):
-        optimize(p, mode="warm")
+        optimize(p, cvar_cfg=cvar_cfg, schedule=schedule, mode="warm")
     with pytest.raises(ValueError):
         optimize(
             p,
+            cvar_cfg=cvar_cfg,
             schedule=CorrelationSchedule(counts=(99,), epochs=(5,), rho=(0.4,)),
         )  # group larger than the slot count
 
@@ -481,7 +482,10 @@ def test_bounded_cvar_study_runs_group_sizes_that_clamp_alike_once(monkeypatch):
 def test_bounded_cvar_study_rejects_wide_instances():
     # D^26_13: amplitudes plus partner tables above the engine's memory cap
     with pytest.raises(ValueError, match="weight-13 sector of 26 qubits"):
-        bounded_cvar_study(synth_assets(26, 1))
+        bounded_cvar_study(
+            synth_assets(26, 1), alphas=(0.01, 0.05, 0.1, 0.2), betas=(1, 10, 20, 40),
+            seeds=tuple(range(20)), epochs=80,
+        )
 
 
 def test_plateau_estimators():
