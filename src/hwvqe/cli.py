@@ -119,15 +119,24 @@ class RunConfig:
     def fail(self, key: str | tuple[str, ...], message: str) -> NoReturn:
         """Raise a ConfigError at the line of a top-level key or of a key path.
 
-        A top-level key the file leaves out has no line; the message then
-        ends with a note naming that key and the default in effect.
+        A key the file leaves out, with its section, has no line; the message
+        then ends with a note naming that key and the default in effect.
         """
         path = (key,) if isinstance(key, str) else key
         lineno = _line_of(self.raw_text, path)
         if lineno:
             raise ConfigError(f"{self.source_path}:{lineno}: {message}")
-        note = f"{path[0]!r} is not in the file; default {getattr(self, path[0])!r}"
+        if path not in _SECTION_DEFAULTS:
+            path = path[:1]
+        note = f"{'.'.join(path)!r} is not in the file; default {self.setting(*path)!r}"
         raise ConfigError(f"{self.source_path}: {message} ({note})")
+
+    def setting(self, *path: str) -> Any:
+        """The value of a top-level key or of a section key, or its default."""
+        if len(path) == 1:
+            return getattr(self, path[0])
+        section, key = path
+        return getattr(self, section).get(key, _SECTION_DEFAULTS[section, key])
 
     def resolved(self) -> dict[str, Any]:
         """The settings a run's artifacts embed: every config key but ``out``."""
@@ -153,6 +162,18 @@ _SECTION_KEYS = {
     "schedule": ("counts", "epochs", "rho_pi"),
     "curves": ("points",),
     "study": ("alphas", "betas", "seeds", "epochs", "shots"),
+}
+# the default of each section key that may be left out (schedule's come together)
+_SECTION_DEFAULTS = {
+    ("cvar", "alpha_start"): 0.01,
+    ("cvar", "alpha_cap"): 1.0,
+    ("cvar", "shots"): vqe.DEFAULT_SHOTS,
+    ("curves", "points"): 21,
+    ("study", "alphas"): (0.01, 0.05, 0.1, 0.2),
+    ("study", "betas"): (1, 10, 20, 40),
+    ("study", "seeds"): 20,
+    ("study", "epochs"): 80,
+    ("study", "shots"): vqe.DEFAULT_SHOTS,
 }
 
 
@@ -206,6 +227,14 @@ def _is_fraction(value: Any) -> bool:
 # shot at 2**20 shots, 94% of them distinct.
 _SHOT_BYTES = 9 * 8 + 1
 _MAX_SHOTS = qsim.MAX_ENGINE_BYTES // _SHOT_BYTES
+# A curves run peaks at 1673 bytes per grid point, at n = 20 (the widest it
+# takes), while curves.csv is written: each row's string (a 49-byte header, 19
+# floats of at most 24 characters and 18 commas, an 8-byte list slot), the
+# joined text twice (the join, then its newline-ended copy or its encoding),
+# and 24 floats (the grid, its copy, and a row of 11 ratios and 11 variances).
+# tracemalloc read 893 bytes per point at n = 12, where this count gives 886.
+_POINT_BYTES = (49 + 19 * 24 + 18 + 8) + 2 * (19 * 24 + 18 + 1) + 24 * 8
+_MAX_POINTS = qsim.MAX_ENGINE_BYTES // _POINT_BYTES
 
 
 def _is_array_of(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
@@ -295,8 +324,10 @@ def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
     expect(("study", "alphas"), _is_array_of(_is_fraction), "a non-empty array of numbers in (0, 1]")
     expect(("study", "betas"), _is_array_of(_is_positive_int), "a non-empty array of positive integers")
     expect(("study", "seeds"), _is_positive_int, "a positive integer (a count of consecutive seeds, not a list)")
-    for path in (("study", "epochs"), ("curves", "points")):
-        expect(path, _is_positive_int, "a positive integer")
+    expect(("study", "epochs"), _is_positive_int, "a positive integer")
+    expect(("curves", "points"), lambda v: _is_positive_int(v) and v <= _MAX_POINTS,
+           f"a positive integer of at most {_MAX_POINTS} ({_POINT_BYTES} bytes per point "
+           f"within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap)")
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +438,9 @@ def _schedule_from(cfg: RunConfig, slots: int) -> vqe.CorrelationSchedule:
 
 
 def _cvar_from(cfg: RunConfig, iterations: int) -> vqe.CVaRConfig:
-    cv = cfg.cvar
-    start = float(cv.get("alpha_start", 0.01))
-    cap = float(cv.get("alpha_cap", 1.0))
-    shots = int(cv.get("shots", 1024))
+    start = float(cfg.setting("cvar", "alpha_start"))
+    cap = float(cfg.setting("cvar", "alpha_cap"))
+    shots = int(cfg.setting("cvar", "shots"))
     return vqe.CVaRConfig.geometric(start, cap, iterations, shots=shots)
 
 
@@ -615,7 +645,7 @@ def cmd_curves(cfg: RunConfig, args) -> int:
             ("problem", "n"),
             f"ratio curves need an even width of at most {vqe.EXACT_PROBABILITY_LIMIT} qubits, got {spec.n}",
         )
-    points = int(cfg.curves.get("points", 21))
+    points = int(cfg.setting("curves", "points"))
     grid = np.linspace(0.0, math.pi, points)
     metrics = vqe.ratio_variance_curves(spec, grid)
     lo = child_weight(spec, 0)
@@ -652,9 +682,17 @@ def cmd_interpolate(cfg: RunConfig, args) -> int:
             f"D^{spec.n}_{spec.k} has {extent}",
         )
     true_line: dict[int, float] = {}
+    # cell extent-1-t holds the complements of cell t: one screen gives both
+    mirror = prob.form.mirror_window is not None
     for t in range(extent):
         sa = SubAnsatzId(spec, ((t,),))
-        if subansatz_basis_count(sa) <= cfg.cap:
+        if t in true_line or subansatz_basis_count(sa) > cfg.cap:
+            continue
+        if mirror and 2 * t < extent - 1:
+            (_, true_line[t]), (_, true_line[extent - 1 - t]) = locate.subspace_min(
+                sa, prob.form, cap=cfg.cap, mirror=True
+            )
+        else:
             _, true_line[t] = locate.subspace_min(sa, prob.form, cap=cfg.cap)
     capped = len(true_line) < extent
     sampled = {t: true_line[t] for t in locate.outer_indices(extent) if t in true_line}
@@ -698,14 +736,13 @@ def cmd_study(cfg: RunConfig, args) -> int:
     spec = prob.form.spec
     _check_full_width(cfg, spec, curves=False)
     slots = build_for(spec).num_params
-    st = cfg.study
-    alphas = [float(a) for a in st.get("alphas", (0.01, 0.05, 0.1, 0.2))]
-    betas = sorted({min(int(b), slots) for b in st.get("betas", (1, 10, 20, 40))})
-    seeds = [cfg.seed + i for i in range(int(st.get("seeds", 20)))]
+    alphas = [float(a) for a in cfg.setting("study", "alphas")]
+    betas = sorted({min(int(b), slots) for b in cfg.setting("study", "betas")})
+    seeds = [cfg.seed + i for i in range(int(cfg.setting("study", "seeds")))]
     theta0 = (cfg.theta0_pi if cfg.theta0_pi is not None else 0.8) * math.pi
     study = functools.partial(
-        vqe.bounded_cvar_study, prob, seeds=seeds, epochs=int(st.get("epochs", 80)),
-        shots=int(st.get("shots", 1024)), theta0=theta0,
+        vqe.bounded_cvar_study, prob, seeds=seeds, epochs=int(cfg.setting("study", "epochs")),
+        shots=int(cfg.setting("study", "shots")), theta0=theta0,
     )
     # one (alpha, beta) cell per call
     alpha_args, beta_args = zip(*[((a,), (b,)) for a in alphas for b in betas])

@@ -71,8 +71,8 @@ CostBatch = Callable[[np.ndarray], np.ndarray]
 
 
 def subspace_min(
-    sa: SubAnsatzId, cost: QuadraticCost, cap: int = DEFAULT_CAP
-) -> tuple[BasisState, float]:
+    sa: SubAnsatzId, cost: QuadraticCost, cap: int = DEFAULT_CAP, mirror: bool = False
+):
     """Exact minimum of the cost over one sub-ansatz; ties go to smaller bits.
 
     The cell is a product of fragments. Each product is split into a head
@@ -83,16 +83,27 @@ def subspace_min(
     fragment replaced by the terms of its midpoint :func:`decompose`. The
     results fold to the smallest ``(energy, bits)``, so they are the same as
     costing every state of the cell.
+
+    With ``mirror`` (a form with a ``mirror_window``), the same screens also
+    give the minimum over the complements of the cell's states: the mirror
+    cell, whose ordinals are ``child_count - 1 - c`` at every level. Its
+    products are the complements of this cell's, so their minima fold the
+    same way. The result is then a pair: this cell's ``(state, energy)``,
+    then the mirror cell's.
     """
     count = subansatz_basis_count(sa)
     if count > cap:
         raise ValueError(f"sub-ansatz {format_id(sa)} holds {count} states, cap is {cap}")
-    bits, energy = min(_product_minima(cost, sa.fragments()), key=lambda r: (r[1], r[0]))
-    return BasisState(bits, sa.parent.n), energy
+    found = list(_product_minima(cost, sa.fragments(), mirror))
+    cells = []
+    for side in zip(*found) if mirror else [found]:
+        bits, energy = min(side, key=lambda r: (r[1], r[0]))
+        cells.append((BasisState(bits, sa.parent.n), energy))
+    return tuple(cells) if mirror else cells[0]
 
 
-def _product_minima(cost: QuadraticCost, frags: list[DickeSpec]) -> Iterator[tuple[int, float]]:
-    """``(bits, energy)`` of each head x tail product the fragments resolve into."""
+def _product_minima(cost: QuadraticCost, frags: list[DickeSpec], mirror: bool) -> Iterator:
+    """``product_min`` of each head x tail product the fragments resolve into."""
     sizes = [math.comb(f.n, f.k) for f in frags]
     # head frags[:split] and tail frags[split:], the larger group as small as can be
     group, split = min(
@@ -102,11 +113,11 @@ def _product_minima(cost: QuadraticCost, frags: list[DickeSpec]) -> Iterator[tup
         at = sizes.index(max(sizes))
         f = frags[at]
         for _, upper, lower in decompose(f, f.n // 2):
-            yield from _product_minima(cost, frags[:at] + [upper, lower] + frags[at + 1 :])
+            yield from _product_minima(cost, frags[:at] + [upper, lower] + frags[at + 1 :], mirror)
         return
     tail = frags[split:]
     yield cost.product_min(
-        product_states(frags[:split]), product_states(tail), sum(f.n for f in tail)
+        product_states(frags[:split]), product_states(tail), sum(f.n for f in tail), mirror
     )
 
 

@@ -276,6 +276,36 @@ class QuadraticCost:
     + e_screen <= E(x) + e_form + e_screen <= s(x) + 2 * (e_form + e_screen)``.
     So every exact minimiser is costed, and the smallest ``(energy, bits)``
     among the costed states is the product's own.
+
+    The same screen also gives the exact minimum over the product's
+    complements (every bit flipped, ``x' = 1 - x``), where the form is
+    unpinned and ``2k = n``. With ``v = scale * Q_sym 1 + h``, expanding the
+    form gives ``E(x') - E(x) = sum_{i not in x} v_i - sum_{i in x} v_i``:
+    ``c`` cancels, and so does any ``lambda`` taken off every ``v_i``, since
+    both sums have ``k`` terms. So ``|E(x') - E(x)| <= delta = sum_i |v_i -
+    lambda|``. The computed ``v`` passes each ``Q_ij`` through at most ``n +
+    2`` roundings (the symmetrisation, ``n - 1`` additions in a row sum, the
+    scaling and the addition of ``h``), so over all ``i`` it lies within
+    ``g_v * S`` of the exact ``v``, ``g_v = (n + 2) u / (1 - (n + 2) u)``.
+    Hence ``delta = F + g_v * S``, where ``F`` sums the computed ``|v_i -
+    lambda|`` with ``lambda`` their median. The screen confirms every state
+    within ``mirror_window = screen_slack + 2 * delta`` of its running
+    minimum, and costs each such state and its complement. That covers the
+    complement's minimiser ``y* = x_c'``: for every ``x`` of the product,
+    with ``E^`` the computed energy, ``s(x_c) <= E(x_c) + e_screen <= E(y*) +
+    delta + e_screen <= E^(y*) + e_form + delta + e_screen <= E^(x') + e_form
+    + delta + e_screen <= E(x) + 2 * (delta + e_form) + e_screen <= s(x) + 2
+    * delta + screen_slack``. It covers the product's own minimiser too, as
+    the window holds the own one. The rounding of computing ``delta`` (two
+    in ``F``, about seven in ``g_v * S``, one in their sum) and the window's
+    own sum take less than ``16 u * screen_slack`` off the window. That is far
+    below the ``12 u S`` that the two spare roundings in ``e_screen`` add to
+    ``screen_slack``, less the ``u S`` or so the threshold's own sum takes.
+    The complements are screened this way only where ``2 * delta <=
+    screen_slack``, so the window stays at most twice the slack. On a
+    bisection ``h`` is the float row sums of ``W``, so ``v`` holds their
+    rounding residues and ``delta`` is about ``g_v * S``. A portfolio's ``v``
+    spreads with its returns and fails the test.
     """
 
     n: int
@@ -326,6 +356,15 @@ class QuadraticCost:
         return (self.Q + self.Q.T) / 2.0  # bitwise Q when Q is symmetric
 
     @cached_property
+    def _magnitude(self) -> float:
+        """``S = |scale| * sum |Q_ij| + sum |h_i| + |c|`` over all bits."""
+        return (
+            abs(self.scale) * math.fsum(np.abs(self.Q).ravel())
+            + math.fsum(np.abs(self.h))
+            + abs(self.c)
+        )
+
+    @cached_property
     def screen_slack(self) -> float:
         """How far above the screen's running minimum :meth:`product_min`
         costs states exactly: ``2 * (e_form + e_screen)``, derived in the
@@ -334,18 +373,30 @@ class QuadraticCost:
         blocks = -(-self.n // 8)
         K = blocks * (blocks + 1) // 2 + 17
         R = K + self.n + 4
-        S = (
-            abs(self.scale) * math.fsum(np.abs(self.Q).ravel())
-            + math.fsum(np.abs(self.h))
-            + abs(self.c)
-        )
-        e_form = K * u / (1.0 - K * u) * S
-        e_screen = 3.0 * R * u / (1.0 - R * u) * S
+        e_form = K * u / (1.0 - K * u) * self._magnitude
+        e_screen = 3.0 * R * u / (1.0 - R * u) * self._magnitude
         return 2.0 * (e_form + e_screen)
 
+    @cached_property
+    def mirror_window(self) -> float | None:
+        """``screen_slack + 2 * delta``, within which :meth:`product_min` with
+        ``mirror`` confirms states for the complementary product (class
+        docstring); None unless the form is unpinned, ``2k = n`` and ``2 *
+        delta <= screen_slack``."""
+        if self.pinned or 2 * self.k != self.n:
+            return None
+        u = 2.0 ** -53
+        v = (self.scale * self._symmetric.sum(axis=1) + self.h).tolist()
+        middle = sorted(v)[len(v) // 2]  # not np.median: its first call imports for 15-20 ms
+        g_v = (self.n + 2) * u / (1.0 - (self.n + 2) * u)
+        delta = math.fsum(abs(x - middle) for x in v) + g_v * self._magnitude
+        if 2.0 * delta > self.screen_slack:
+            return None
+        return self.screen_slack + 2.0 * delta
+
     def product_min(
-        self, heads: np.ndarray, tails: np.ndarray, tail_width: int
-    ) -> tuple[int, float]:
+        self, heads: np.ndarray, tails: np.ndarray, tail_width: int, mirror: bool = False
+    ):
         """Exact ``(bits, energy)`` minimum over the states ``head << tail_width |
         tail`` of every head and tail; ties go to the smaller state.
 
@@ -354,7 +405,18 @@ class QuadraticCost:
         and one row per head bit of cross terms against every tail. Energies
         come from :meth:`__call__` on the states the screen confirms, so they
         are the ones any batch would give.
+
+        With ``mirror`` every product state must have weight ``k``, and the
+        form must have a :attr:`mirror_window`. The one screen then confirms
+        states within that window, and the result is a pair: the product's
+        ``(bits, energy)``, then that of its complements ``x ^ (2**n - 1)``.
         """
+        window = self.mirror_window if mirror else self.screen_slack
+        if window is None:
+            raise ValueError(
+                f"complements of D^{self.n}_{self.k} (pinned {self.pinned:#x}) "
+                "cannot share a screen; screen each product on its own"
+            )
         heads = np.asarray(heads, dtype=np.int64)
         tails = np.asarray(tails, dtype=np.int64)
         zero = self(np.zeros(1, dtype=np.int64))[0]
@@ -370,7 +432,8 @@ class QuadraticCost:
         field[-1] = 1.0
         rows = max(1, _EVAL_CHUNK // len(tails))
         threshold = math.inf
-        best_energy, best_bits = math.inf, -1
+        flip = (1 << self.n) - 1
+        best = [(math.inf, -1), (math.inf, -1)]  # (energy, bits): product, complements
         for lo in range(0, len(heads), rows):
             part = heads[lo : lo + rows]
             x = np.empty((len(part), len(head_bits) + 2))
@@ -378,17 +441,24 @@ class QuadraticCost:
             x[:, -2] = 1.0
             x[:, -1] = a[lo : lo + rows]
             screen = x @ field
-            threshold = min(threshold, float(screen.min()) + self.screen_slack)
+            threshold = min(threshold, float(screen.min()) + window)
             near = np.flatnonzero(screen <= threshold)
             if not len(near):
                 continue
             row, col = np.divmod(near, len(tails))
             states = (part[row] << tail_width) | tails[col]
+            if mirror:
+                states = np.concatenate([states, states ^ flip])
             energies = self(states)
-            pos = int(np.lexsort((states, energies))[0])
-            if (energies[pos], states[pos]) < (best_energy, best_bits):
-                best_energy, best_bits = float(energies[pos]), int(states[pos])
-        return best_bits, best_energy
+            for side in range(1 + mirror):
+                part_states = states[side * len(near) : (side + 1) * len(near)]
+                part_energies = energies[side * len(near) : (side + 1) * len(near)]
+                pos = int(np.lexsort((part_states, part_energies))[0])
+                if (part_energies[pos], part_states[pos]) < best[side]:
+                    best[side] = (float(part_energies[pos]), int(part_states[pos]))
+        if mirror:
+            return tuple((bits, energy) for energy, bits in best)
+        return best[0][1], best[0][0]
 
     def __call__(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=np.int64)

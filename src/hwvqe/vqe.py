@@ -51,6 +51,7 @@ __all__ = [
 
 EXACT_PROBABILITY_LIMIT = 20  # statevector ground-state probability up to here
 COBYLA_RHOEND = 1e-4  # final trust radius of each COBYLA run
+DEFAULT_SHOTS = 1024  # samples per objective evaluation unless a config sets them
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,7 @@ class CVaRConfig:
 
     alpha: float
     alpha_schedule: tuple[float, ...] = ()
-    shots: int = 1024
+    shots: int = DEFAULT_SHOTS
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
@@ -81,7 +82,7 @@ class CVaRConfig:
 
     @classmethod
     def geometric(
-        cls, start: float, cap: float, iterations: int, shots: int = 1024
+        cls, start: float, cap: float, iterations: int, shots: int = DEFAULT_SHOTS
     ) -> "CVaRConfig":
         """Grow alpha geometrically from ``start`` to ``cap`` over the stages."""
         if iterations < 1:
@@ -512,7 +513,7 @@ def bounded_cvar_study(
     betas: Sequence[int],
     seeds: Sequence[int],
     epochs: int,
-    shots: int = 1024,
+    shots: int = DEFAULT_SHOTS,
     theta0: float = 0.8 * np.pi,
 ) -> dict[tuple[float, int], list[list[float]]]:
     """Fixed-(alpha, beta) convergence traces over a seed ensemble.

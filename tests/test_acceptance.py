@@ -9,9 +9,7 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from conftest import exact_minimum
 from hwvqe import locate, qsim, vqe
 from hwvqe.ansatz import DickeSpec, build_for, build_straight, reachability_params
 from hwvqe.cli import main

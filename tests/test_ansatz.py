@@ -1,6 +1,5 @@
 """Circuit builders: matrix oracles, support completeness, reachability."""
 
-import itertools
 import math
 
 import numpy as np

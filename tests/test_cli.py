@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hwvqe import locate
+from conftest import reference_subspace_min
+from hwvqe import cli, locate, vqe
 from hwvqe.ansatz import circuit_from_text
 from hwvqe.cli import ConfigError, load_config, main
+from hwvqe.partition import SubAnsatzId
 from hwvqe.problem import (
     PortfolioProblem,
     ingest_csv,
@@ -321,6 +324,19 @@ def test_error_about_an_absent_key_names_the_key_and_its_default(
     rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+def test_an_absent_section_key_reports_the_default_the_run_uses(tmp_path):
+    doc = json.loads(_write_config(tmp_path).read_text())
+    del doc["cvar"]
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc, indent=2))
+    cfg = load_config(path)
+    assert cfg.setting("cvar", "shots") == cfg.setting("study", "shots") == vqe.DEFAULT_SHOTS
+    assert vqe.CVaRConfig(alpha=0.5).shots == vqe.DEFAULT_SHOTS
+    with pytest.raises(ConfigError) as info:
+        cfg.fail(("cvar", "shots"), "too many shots")
+    assert str(info.value) == f"{path}: too many shots ('cvar.shots' is not in the file; default 1024)"
 
 
 @pytest.mark.parametrize(
@@ -632,6 +648,53 @@ def test_interpolate_costs_each_cell_once(tmp_path, monkeypatch):
     assert len(seen) == len(set(seen)) == 7
 
 
+@pytest.mark.parametrize("n, seed", [(12, 1), (12, 2), (14, 3), (16, 4)])
+@pytest.mark.parametrize("past_the_rule", [False, True])
+def test_interpolate_screens_each_mirror_pair_of_a_graph_once(
+    tmp_path, monkeypatch, n, seed, past_the_rule
+):
+    """Cell extent-1-t of an unpinned graph holds the complements of cell t, so
+    one screen gives both; past the rule (``h`` moved off the row sums of
+    ``W`` by the screen slack) each cell is screened on its own."""
+    calls = []
+    exact = locate.subspace_min
+
+    def counted(sa, cost, cap, mirror=False):
+        calls.append((sa.levels[0][0], mirror))
+        return exact(sa, cost, cap, mirror)
+
+    built = []
+    build = cli.build_problem
+
+    def building(cfg):
+        prob = build(cfg)
+        if past_the_rule:  # the cached form, replaced on this instance only
+            form = prob.form
+            vars(prob)["form"] = replace(form, h=form.h + form.screen_slack * (-1.0) ** np.arange(n))
+        built.append(prob)
+        return prob
+
+    monkeypatch.setattr(locate, "subspace_min", counted)
+    monkeypatch.setattr(cli, "build_problem", building)
+    cfg = _write_config(
+        tmp_path,
+        problem={"kind": "synth-graph", "n": n, "p_edge": 0.5, "seed_graph": seed, "seed_weights": seed + 1},
+        reorder="auto",
+    )
+    assert main(["interpolate", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 0
+    form = built[0].form
+    extent = n // 2 + 1
+    if past_the_rule:
+        assert form.mirror_window is None and calls == [(t, False) for t in range(extent)]
+    else:
+        assert calls == [(t, 2 * t < extent - 1) for t in range((extent + 1) // 2)]
+    rows = [line.split(",") for line in (tmp_path / "i" / "interpolate.csv").read_text().splitlines()[3:]]
+    assert [int(r[0]) for r in rows] == list(range(extent))
+    for t, _, _, true in rows:
+        _, energy = reference_subspace_min(SubAnsatzId(form.spec, ((int(t),),)), form)
+        assert true == repr(energy)
+
+
 def test_interpolate_partial_polyline_warns(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -895,6 +958,9 @@ def _swap_in_instance(work, doc, instance):
          config_garble=None, command="solve")
 @example(base="portfolio12", edits=[("value", ("study", "shots"), 2**62)], instance=None,
          config_garble=None, command="study")
+# a grid too long to hold in memory
+@example(base="portfolio12", edits=[("value", ("curves", "points"), 10**12)], instance=None,
+         config_garble=None, command="curves")
 def test_fuzzed_inputs_exit_cleanly_with_a_located_message(
     tmp_path, base, edits, instance, config_garble, command
 ):

@@ -168,6 +168,38 @@ def test_subspace_min_matches_costing_every_state(case):
     assert energy.hex() == ref_energy.hex()
 
 
+def _mirror_cell(sa: SubAnsatzId) -> SubAnsatzId:
+    """The cell of the complements: ordinal ``child_count - 1 - c`` at every level."""
+    levels = []
+    for depth, level in enumerate(sa.levels):
+        frags = SubAnsatzId(sa.parent, sa.levels[:depth]).fragments()
+        levels.append(tuple(child_count(f) - 1 - c for f, c in zip(frags, level)))
+    return SubAnsatzId(sa.parent, tuple(levels))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([8, 12, 16]),
+    seed=st.integers(0, 2**16),
+    integer=st.booleans(),
+    depth=st.integers(0, 2),
+    data=st.data(),
+)
+def test_subspace_min_with_mirror_matches_costing_both_cells(n, seed, integer, depth, data):
+    """Depth 0 (the sector, its own mirror, decomposed into midpoint terms) and
+    cells of one and two levels; integer weights make many exact ties."""
+    g = synth_graph(n, 0.6, seed, seed + 1)
+    if integer:
+        g = BisectionProblem(n, np.ceil(3.0 * g.weights))
+    sa = _cell(data.draw, g.form.spec, depth if n % 4 == 0 else min(depth, 1))
+    pair = subspace_min(sa, g.form, mirror=True)
+    for (state, energy), cell in zip(pair, (sa, _mirror_cell(sa))):
+        ref_state, ref_energy = reference_subspace_min(cell, g.form)
+        assert state.bits == ref_state.bits
+        assert energy.hex() == ref_energy.hex()
+    assert pair[0] == subspace_min(sa, g.form)
+
+
 @pytest.mark.parametrize(
     "n, k, levels",
     [

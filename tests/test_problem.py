@@ -1,6 +1,7 @@
 """Cost models: quadratic forms, spin mapping, reordering, file formats."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -367,6 +368,58 @@ def test_product_min_equals_costing_the_product(family, n, seed, counts, tie):
     # every state ties: the smallest wins from whichever block holds it
     flat = QuadraticCost(spec.n, spec.k, 1.0, np.zeros((spec.n, spec.n)), np.zeros(spec.n), 2.5)
     assert flat.product_min(heads, tails, width) == (int(states.min()), 2.5)
+
+
+def _random_product(spec, seed, counts):
+    """Shuffled heads and tails of a product of weight-``spec.k`` states, and its width."""
+    local = np.random.default_rng(seed)
+    width = int(local.integers(1, spec.n))
+    upper = int(local.integers(max(0, spec.k - width), min(spec.k, spec.n - width) + 1))
+    heads = local.permutation(_weight_k_states(spec.n - width, upper, counts[0], seed))
+    tails = local.permutation(_weight_k_states(width, spec.k - upper, counts[1], seed + 1))
+    return heads, tails, width
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    half=st.integers(1, 31),
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.tuples(st.integers(1, 1000), st.integers(1, 300)),
+    spread=st.sampled_from([0.0, 0.05, 0.15]),
+)
+def test_product_min_with_mirror_equals_costing_the_product_and_its_complements(
+    half, seed, counts, spread
+):
+    """One screen gives the minima over a bisection product and over its
+    complements. ``h`` moves off the row sums of ``W`` by up to ``spread *
+    screen_slack / n`` per bit, so ``delta`` is nonzero but within the rule."""
+    n = 2 * half
+    form = _family_problem("bisection", n, seed, 0.9, -3.0).form
+    noise = np.random.default_rng(seed).uniform(-1.0, 1.0, n) * spread * form.screen_slack / n
+    form = replace(form, h=form.h + noise)
+    assert form.screen_slack < form.mirror_window <= 2 * form.screen_slack
+    heads, tails, width = _random_product(form.spec, seed, counts)
+    states = ((heads[:, None] << width) | tails[None, :]).ravel()
+    pair = form.product_min(heads, tails, width, mirror=True)
+    for got, group in zip(pair, (states, states ^ ((1 << n) - 1))):
+        energies = form(group)
+        pos = np.lexsort((group, energies))[0]
+        assert got == (int(group[pos]), float(energies[pos]))
+    assert pair[0] == form.product_min(heads, tails, width)
+
+
+def test_mirror_window_needs_an_unpinned_half_weight_form_and_a_narrow_delta():
+    graph = synth_graph(12, 0.5, 3, 4)
+    assert graph.form.mirror_window is not None
+    assert synth_graph(12, 0.5, 3, 4, fixed_top_bit=True).form.mirror_window is None
+    assert synth_assets(12, 3).form.mirror_window is None  # budget 6 of 12, v spreads with mu
+    assert synth_assets(12, 3, budget=5).form.mirror_window is None
+    form = graph.form
+    past = replace(form, h=form.h + form.screen_slack * (-1.0) ** np.arange(12))
+    assert past.mirror_window is None
+    heads, tails, width = _random_product(form.spec, 3, (50, 50))
+    with pytest.raises(ValueError, match="cannot share a screen"):
+        past.product_min(heads, tails, width, mirror=True)
 
 
 def test_synth_assets_deterministic_and_valid():
