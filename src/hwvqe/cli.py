@@ -219,14 +219,33 @@ def _is_fraction(value: Any) -> bool:
     return _is_real(value) and 0.0 < value <= 1.0
 
 
-# One objective evaluation peaks at 73 bytes per shot, in np.unique in
-# FragmentPreparer.sample: nine shots-long int64 arrays (the draws, the last
-# fragment's draws, and np.unique's copy, sort order, sorted copy, distinct
-# states, first-draw indices, run bounds and counts) and a bool mask. qsim.draw
-# holds seven and the CVaR in optimize six. tracemalloc read 8.9 x 8 bytes per
-# shot at 2**20 shots, 94% of them distinct.
-_SHOT_BYTES = 9 * 8 + 1
+# One objective evaluation peaks at 65 bytes per shot, in np.unique on a cell
+# too large to tabulate (FragmentPreparer.count): eight shots-long int64 arrays
+# (the drawn cell indices, and np.unique's copy, sort order, sorted copy,
+# distinct cells, first-draw indices, run bounds and counts) and a bool mask.
+# Drawing holds at most six, the CVaR in optimize seven, and a tabulated cell's
+# count four and a mask (its cell-long arrays are bounded by
+# partition.TABLE_BYTES). tracemalloc read 67.7 bytes per shot at 2**20 shots
+# and 66.0 at 2**21 on D^20_10 x D^20_10 (98-99% distinct), the excess being
+# the fragments' fixed amplitudes, and 25.0 at 2**20 on a tabulated cell.
+_SHOT_BYTES = 8 * 8 + 1
 _MAX_SHOTS = qsim.MAX_ENGINE_BYTES // _SHOT_BYTES
+# An evaluation keeps its TraceRow until trace.csv is written: 249 bytes with its
+# floats and list slot (tracemalloc), and a csv line of at most 116 characters
+# (four floats of 24, an epoch of 7 digits, two counts and seven separators),
+# held at most four times while written (StringIO's buffer and value, the
+# header concatenation, the encoding). tracemalloc read 441 bytes per
+# evaluation of solve with 73-character lines. Each run of a study holds its
+# study.epochs rows the same way until its expectations are taken.
+_EVAL_BYTES = 249 + 4 * 116
+_MAX_EVALS = qsim.MAX_ENGINE_BYTES // _EVAL_BYTES
+# A study row (one epoch of one seed of one (alpha, beta) cell) holds its
+# expectation (a float and a list slot, 32 bytes) until study.csv is written,
+# and then its line of at most 82 characters (alpha and expectation of 24, a
+# 20-digit seed, a 7-digit epoch, a 3-digit beta, four commas): a string (49 +
+# 82) in a list (8), then the joined text, its newline-ended copy and its
+# encoding. tracemalloc read 188 bytes per row with 35-character lines.
+_ROW_BYTES = 32 + (49 + 82 + 8) + 3 * 82
 # A curves run peaks at 1673 bytes per grid point, at n = 20 (the widest it
 # takes), while curves.csv is written: each row's string (a 49-byte header, 19
 # floats of at most 24 characters and 18 commas, an 8-byte list slot), the
@@ -310,6 +329,11 @@ def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
             cfg.fail("schedule", f"schedule arrays differ in length: {lens}")
         if any(b > a for a, b in zip(sched["counts"], sched["counts"][1:])):
             cfg.fail(("schedule", "counts"), f"schedule counts must be non-increasing: {sched['counts']}")
+        if sum(sched["epochs"]) > _MAX_EVALS:
+            cfg.fail(("schedule", "epochs"),
+                     f"schedule epochs must sum to at most {_MAX_EVALS} ({_EVAL_BYTES} bytes per "
+                     f"evaluation within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap), "
+                     f"got {sum(sched['epochs'])}")
 
     cv = cfg.cvar
     for k in ("alpha_start", "alpha_cap"):
@@ -323,8 +347,17 @@ def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
 
     expect(("study", "alphas"), _is_array_of(_is_fraction), "a non-empty array of numbers in (0, 1]")
     expect(("study", "betas"), _is_array_of(_is_positive_int), "a non-empty array of positive integers")
-    expect(("study", "seeds"), _is_positive_int, "a positive integer (a count of consecutive seeds, not a list)")
-    expect(("study", "epochs"), _is_positive_int, "a positive integer")
+    expect(("study", "epochs"), lambda v: _is_positive_int(v) and v <= _MAX_EVALS,
+           f"a positive integer of at most {_MAX_EVALS} ({_EVAL_BYTES} bytes per evaluation "
+           f"within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap)")
+    per_seed = math.prod(
+        len(cfg.setting("study", key)) for key in ("alphas", "betas")
+    ) * cfg.setting("study", "epochs")
+    max_seeds = qsim.MAX_ENGINE_BYTES // (_ROW_BYTES * per_seed)
+    expect(("study", "seeds"), lambda v: _is_positive_int(v) and v <= max_seeds,
+           f"a positive integer of at most {max_seeds}, a count of consecutive seeds "
+           f"({per_seed} study rows per seed of {_ROW_BYTES} bytes within the "
+           f"{qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap)")
     expect(("curves", "points"), lambda v: _is_positive_int(v) and v <= _MAX_POINTS,
            f"a positive integer of at most {_MAX_POINTS} ({_POINT_BYTES} bytes per point "
            f"within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap)")

@@ -270,23 +270,41 @@ class CellsOverCap(ValueError):
 
 
 class _CellCache:
-    """Memoized exact minima keyed by sub-ansatz id; over-cap cells pin +inf."""
+    """Memoized exact minima keyed by sub-ansatz id; over-cap cells pin +inf.
+
+    Where the form has a ``mirror_window``, one screen gives a cell's minimum
+    and its mirror cell's (:func:`subspace_min` with ``mirror``). The mirror's
+    waits in ``screened`` and joins ``results`` and ``trail`` only when that
+    cell is asked for, so both record the cells asked for, in that order.
+    """
 
     def __init__(self, cost: QuadraticCost, cap: int):
         self.cost = cost
         self.cap = cap
         self.results: dict[SubAnsatzId, tuple[Optional[int], float]] = {}
+        self.screened: dict[SubAnsatzId, tuple[int, float]] = {}
         self.trail: list[tuple[SubAnsatzId, float]] = []
 
     def minimum(self, sa: SubAnsatzId) -> tuple[Optional[int], float]:
         if sa in self.results:
             return self.results[sa]
-        if subansatz_basis_count(sa) > self.cap:
-            out: tuple[Optional[int], float] = (None, math.inf)
-        else:
+        out: tuple[Optional[int], float]
+        mirror = None if self.cost.mirror_window is None else sa.mirror()
+        if sa in self.screened:
+            out = self.screened.pop(sa)
+        elif subansatz_basis_count(sa) > self.cap:
+            out = (None, math.inf)
+        elif mirror is None or mirror == sa or mirror in self.results:
             state, energy = subspace_min(sa, self.cost, self.cap)
             out = (state.bits, energy)
-            self.trail.append((sa, energy))
+        else:
+            (state, energy), (other, other_energy) = subspace_min(
+                sa, self.cost, self.cap, mirror=True
+            )
+            out = (state.bits, energy)
+            self.screened[mirror] = (other.bits, other_energy)
+        if out[0] is not None:
+            self.trail.append((sa, out[1]))
         self.results[sa] = out
         return out
 

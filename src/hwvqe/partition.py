@@ -24,7 +24,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,6 +116,15 @@ class SubAnsatzId:
 
     def child(self, ordinals: Sequence[int]) -> "SubAnsatzId":
         return SubAnsatzId(self.parent, self.levels + (tuple(ordinals),))
+
+    def mirror(self) -> "SubAnsatzId":
+        """The cell of the complements of this cell's states, for a half-weight
+        parent: ordinal ``c`` becomes ``child_count - 1 - c`` at every level."""
+        levels = []
+        for depth, level in enumerate(self.levels):
+            frags = SubAnsatzId(self.parent, self.levels[:depth]).fragments()
+            levels.append(tuple(child_count(f) - 1 - c for f, c in zip(frags, level)))
+        return SubAnsatzId(self.parent, tuple(levels))
 
     def __str__(self) -> str:
         return format_id(self)
@@ -248,19 +258,40 @@ def in_subansatz(bits: int, sa: SubAnsatzId) -> bool:
     return True
 
 
+# A tabulated cell holds, per state, its int64 state and float64 energy, and each
+# evaluation counts into two cell-long int64 arrays (counts and first draws).
+# tracemalloc read 16 bytes per state held and 16 more while counting, at
+# 184,756 and 853,776 states; building the table peaked at 24.5.
+TABLE_BYTES = 4 * 8
+
+
 class FragmentPreparer:
     """One sub-ansatz prepared as a product of independently simulated fragments.
 
     Each fragment's circuit is built once. Fragments of weight 0 or full weight
-    are fixed bit blocks and take no parameters. The full-width ansatz is the
-    depth-0 case ``SubAnsatzId(spec, ())``: a single fragment, the spec itself.
+    are fixed bit blocks and take no parameters; the others are compiled side
+    by side into one :class:`~hwvqe.qsim.Stack` on first use, so an evaluation
+    simulates them all in one pass. The full-width ansatz is the depth-0 case
+    ``SubAnsatzId(spec, ())``: a single fragment, the spec itself.
+
+    Outcomes are drawn as cell indices, positions in
+    ``product_states(fragments)``: each fragment's pick in its ascending
+    sector is one digit of a mixed-radix number, fragment 0 the most
+    significant. After :meth:`tabulate`, the cell's states and energies are
+    read from a table of the whole cell.
     """
 
     def __init__(self, sa: SubAnsatzId):
         self.fragments = sa.fragments()
         self.circuits = [None if f.k in (0, f.n) else build_for(f) for f in self.fragments]
         self.num_params = sum(c.num_params for c in self.circuits if c is not None)
-        self._states: list[qsim.StateVector | None] = []
+        self.size = subansatz_basis_count(sa)
+        self.table: tuple[np.ndarray, np.ndarray] | None = None  # (states, energies)
+        self._values: np.ndarray | None = None  # the last draw's stacked amplitudes
+
+    @cached_property
+    def _stack(self) -> qsim.Stack:
+        return qsim.Stack([c for c in self.circuits if c is not None])
 
     def split(self, params: Sequence[float]) -> list[np.ndarray]:
         """Cut a flat parameter vector into per-fragment vectors, fragment 0 first."""
@@ -271,56 +302,113 @@ class FragmentPreparer:
             at += width
         return out
 
-    def sample(
-        self, params_per_fragment: Sequence[Sequence[float]], shots: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Simulate each parameterized fragment once and draw ``shots`` product outcomes.
+    def tabulate(self, cost: Callable[[np.ndarray], np.ndarray], draws: int) -> bool:
+        """Cost the whole cell once, if it holds no more states than ``draws``
+        and its table fits ``qsim.MAX_ENGINE_BYTES``; returns whether it did.
 
-        The fragments' states are kept for :meth:`probability_of`. Returns the
-        distinct full-width basis states and their counts, in first-draw order
-        (the order of ``Counter(draws)``).
+        Past that size a run never sees most of the cell, and costing the
+        distinct states of each evaluation is cheaper.
+        """
+        if self.size > draws or self.size * TABLE_BYTES > qsim.MAX_ENGINE_BYTES:
+            return False
+        states = product_states(self.fragments)
+        self.table = (states, cost(states))
+        return True
+
+    def draw(
+        self, params_per_fragment: Sequence[Sequence[float]], shots: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Simulate the parameterized fragments once and draw ``shots`` outcomes.
+
+        Each fragment in turn takes ``shots`` uniforms from ``rng`` and picks
+        by :func:`~hwvqe.qsim.inverse_cdf`, as :func:`~hwvqe.qsim.draw` does.
+        Returns the cell indices, in draw order. The amplitudes are kept for
+        :meth:`probability_of`.
         """
         if len(params_per_fragment) != len(self.fragments):
             raise ValueError(
                 f"{len(params_per_fragment)} parameter vectors for {len(self.fragments)} fragments"
             )
-        self._states = []
-        draws = np.zeros(shots, dtype=np.int64)
-        for f, circuit, params in zip(self.fragments, self.circuits, params_per_fragment):
+        params = []
+        for f, circuit, p in zip(self.fragments, self.circuits, params_per_fragment):
             if circuit is None:
-                if len(params) != 0:
+                if len(p) != 0:
                     raise ValueError(f"fragment D^{f.n}_{f.k} takes no parameters")
-                psi = None
-                frag_draws = (1 << f.n) - 1 if f.k == f.n else 0
+            elif len(p) != circuit.num_params:
+                raise ValueError(
+                    f"fragment D^{f.n}_{f.k} needs {circuit.num_params} parameters, got {len(p)}"
+                )
             else:
-                if len(params) != circuit.num_params:
-                    raise ValueError(
-                        f"fragment D^{f.n}_{f.k} needs {circuit.num_params} parameters, got {len(params)}"
-                    )
-                psi = qsim.simulate(circuit, params)
-                frag_draws = qsim.draw(psi, shots, rng)
-            self._states.append(psi)
-            draws = (draws << f.n) | frag_draws
-        keys, first, counts = np.unique(draws, return_index=True, return_counts=True)
+                params.append(p)
+        self._values = values = self._stack.run(params)
+        cells = None
+        for lo, hi in self._stack.bounds:
+            picks = qsim.inverse_cdf(values[lo:hi], rng.random(shots))
+            cells = picks if cells is None else cells * (hi - lo) + picks
+        return np.zeros(shots, dtype=np.int64) if cells is None else cells
+
+    def count(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct cell indices and their counts, in first-draw order.
+
+        A tabulated cell counts into cell-long arrays; any other sorts the draws.
+        """
+        if self.table is not None:
+            counts = np.bincount(cells, minlength=self.size)
+            first = np.full(self.size, len(cells))
+            drawn = np.arange(len(cells))
+            np.minimum.at(first, cells, drawn)
+            seen = cells[first[cells] == drawn]  # each cell at its first draw
+            return seen, counts[seen]
+        seen, first, counts = np.unique(cells, return_index=True, return_counts=True)
         order = np.argsort(first)
-        return keys[order], counts[order]
+        return seen[order], counts[order]
+
+    def states_of(self, cells: np.ndarray) -> np.ndarray:
+        """The full-width basis states at the given cell indices."""
+        if self.table is not None:
+            return self.table[0][cells]
+        states = np.zeros(len(cells), dtype=np.int64)
+        shift = 0
+        sectors = reversed(self._stack.states)
+        for f, circuit in zip(reversed(self.fragments), reversed(self.circuits)):
+            if circuit is None:
+                states |= ((1 << f.n) - 1 if f.k == f.n else 0) << shift
+            else:
+                sector = next(sectors)
+                cells, digit = np.divmod(cells, len(sector))
+                states |= sector[digit] << shift
+            shift += f.n
+        return states
+
+    def sample(
+        self, params_per_fragment: Sequence[Sequence[float]], shots: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``shots`` product outcomes (:meth:`draw`).
+
+        Returns the distinct full-width basis states and their counts, in
+        first-draw order (the order of ``Counter(draws)``).
+        """
+        cells, counts = self.count(self.draw(params_per_fragment, shots, rng))
+        return self.states_of(cells), counts
 
     def probability_of(self, bits: int) -> float:
-        """Born probability of a full-width basis state in the last sampled product."""
+        """Born probability of a full-width basis state in the last drawn product."""
         prob = 1.0
         shift = sum(f.n for f in self.fragments)
-        for f, psi in zip(self.fragments, self._states):
+        stacked = iter(zip(self._stack.bounds, self._stack.states))
+        for f, circuit in zip(self.fragments, self.circuits):
             shift -= f.n
             frag_bits = (bits >> shift) & ((1 << f.n) - 1)
-            if psi is None:
+            if circuit is None:
                 if frag_bits != ((1 << f.n) - 1 if f.k == f.n else 0):
                     return 0.0
                 continue
-            i = psi.index_of(frag_bits)
-            if i is None:
+            (lo, _), sector = next(stacked)
+            i = int(np.searchsorted(sector, frag_bits))
+            if i == len(sector) or sector[i] != frag_bits:
                 return 0.0
             # a scalar ** 2 can round unlike a * a; trace.csv records this form
-            prob *= float(np.abs(psi.values[i]) ** 2)
+            prob *= float(np.abs(self._values[lo + i]) ** 2)
         return prob
 
 

@@ -25,9 +25,14 @@ reads ``01`` and of their ``10`` partners), and the reordering its trailing X
 layer induces. The tables are ordered by the first block at which a pair can
 hold an amplitude, so each block gathers and scatters only a prefix of them:
 the pairs no earlier block can have reached hold zeros for any parameters.
-:func:`apply_v_block` and :func:`apply_circuit` take any state: they run the
-same kernel over whole partner tables on each weight sector the state
-populates, under the same memory cap.
+
+A :class:`Stack` lays the sectors of several circuits back to back in one
+amplitude vector and rotates block ``b`` of all of them in one step, so a
+product of small circuits costs one pass, not one per circuit.
+:func:`simulate` is its one-circuit case. :func:`apply_v_block` and
+:func:`apply_circuit` take any state: they run the same rotation over whole
+partner tables on each weight sector the state populates, under the same
+memory cap.
 """
 
 from __future__ import annotations
@@ -51,9 +56,11 @@ __all__ = [
     "apply_circuit",
     "bitstrings_of_weight",
     "check_engine_memory",
+    "Stack",
     "simulate",
     "probability_of",
     "support",
+    "inverse_cdf",
     "draw",
     "sample",
     "hamming_weight",
@@ -71,7 +78,15 @@ def hamming_weight(bits: int) -> int:
     return int(bits).bit_count()
 
 
-_POPCOUNT16 = sum((np.arange(1 << 16) >> i) & 1 for i in range(16)).astype(np.uint8)
+def _popcount_table(bits: int) -> np.ndarray:
+    """Hamming weights of 0 .. 2**bits - 1: each doubling appends the table plus one."""
+    table = np.zeros(1, dtype=np.uint8)
+    for _ in range(bits):
+        table = np.concatenate((table, table + 1))
+    return table
+
+
+_POPCOUNT16 = _popcount_table(16)
 
 
 def hamming_weight_array(states: np.ndarray) -> np.ndarray:
@@ -176,14 +191,21 @@ def bitstrings_of_weight(m: int, w: int) -> np.ndarray:
     return out
 
 
-def _rotate(a: np.ndarray, i01: np.ndarray, i10: np.ndarray, theta: float) -> None:
-    """Rotate the |01>/|10> pairs listed by the partner tables, in place."""
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
+def _rotate(a: np.ndarray, i01: np.ndarray, i10: np.ndarray, c, s) -> None:
+    """Rotate the |01>/|10> pairs listed by the partner tables, in place.
+
+    ``c`` and ``s`` are the half-angle cosine and sine (:func:`_half_angle`):
+    scalars, or one per pair.
+    """
     a01 = a[i01]
     a10 = a[i10]
     a[i01] = c * a01 + s * a10
     a[i10] = -s * a01 + c * a10
+
+
+def _half_angle(theta: float) -> tuple[float, float]:
+    # libm's, not numpy's vector cos/sin, which need not round alike on every CPU
+    return math.cos(theta / 2.0), math.sin(theta / 2.0)
 
 
 def _check_sector(n: int, w: int, lowers: Sequence[int]) -> None:
@@ -285,17 +307,110 @@ def _check_params(circuit, params: Sequence[float]) -> None:
         raise ValueError(f"{len(params)} parameters for {len(circuit.blocks)} blocks")
 
 
+# A step merges the blocks of several circuits only while they rotate at most
+# this many pairs together. A merged step saves the numpy calls of one rotation
+# per extra circuit, about 8 us whatever its size, but copies its tables and
+# slots (24 bytes per pair) and spreads its angles over every pair (16 bytes
+# per pair per run). The cap keeps that within 40 KiB per step, so stacking
+# large circuits copies none of their tables.
+_MERGED_PAIRS = 1024
+
+
+class Stack:
+    """Circuits compiled side by side into one amplitude vector.
+
+    Circuit ``j`` holds ``bounds[j]`` of the vector: its output states
+    (``states[j]``, ascending) and their amplitudes. Step ``b`` rotates block
+    ``b`` of every circuit whose block has pairs to rotate. A step over one
+    circuit rotates its slice of the vector with scalar angles, so a
+    one-circuit stack runs exactly the one-circuit kernel. Where several
+    circuits rotate at most ``_MERGED_PAIRS`` pairs together, their tables are
+    offset into the stacked vector and joined, and one rotation takes an angle
+    per pair; larger steps rotate each circuit's slice in turn. One final
+    permutation applies every conjugate circuit's reordering, and none is made
+    when no circuit reorders.
+    """
+
+    def __init__(self, circuits: Sequence):
+        self.circuits = tuple(circuits)
+        compiled = [_compile(c) for c in self.circuits]
+        bounds, starts, orders = [], [], []
+        end = 0
+        for begin, _, states, order in compiled:
+            bounds.append((end, end + len(states)))
+            starts.append(end + begin)
+            orders.append(np.arange(end, end + len(states)) if order is None else order + end)
+            end += len(states)
+        self.bounds = tuple(bounds)
+        self.states = tuple(states for _, _, states, _ in compiled)
+        self.size = end
+        self._starts = np.array(starts, dtype=np.int64)
+        reorders = any(order is not None for _, _, _, order in compiled)
+        self._order = np.concatenate(orders) if reorders else None
+
+        # a step is (part, i01, i10, slot): with `part` a slice of the vector, the
+        # tables index that slice and `slot` is a slot of the joined parameter
+        # vector; with `part` None, they index the vector and `slot` is a slice
+        # of the per-pair slots
+        steps: list[tuple[Optional[slice], np.ndarray, np.ndarray, Union[int, slice]]] = []
+        pair_slots: list[np.ndarray] = []
+        bases = np.cumsum([0] + [c.num_params for c in self.circuits]).tolist()
+        for b in range(max((len(blocks) for _, blocks, _, _ in compiled), default=0)):
+            parts = [
+                (slice(lo, hi), i01, i10, slot + base)
+                for (lo, hi), base, (_, blocks, _, _) in zip(bounds, bases, compiled)
+                if b < len(blocks)
+                for i01, i10, slot in [blocks[b]]
+                if len(i01)
+            ]
+            width = sum(len(i01) for _, i01, _, _ in parts)
+            if len(parts) < 2 or width > _MERGED_PAIRS:
+                steps += parts
+                continue
+            at = sum(len(slots) for slots in pair_slots)
+            steps.append((
+                None,
+                np.concatenate([i01 + part.start for part, i01, _, _ in parts]),
+                np.concatenate([i10 + part.start for part, _, i10, _ in parts]),
+                slice(at, at + width),
+            ))
+            pair_slots += [np.full(len(i01), slot) for _, i01, _, slot in parts]
+        self._steps = steps
+        self._pair_slots = np.concatenate(pair_slots) if pair_slots else None
+
+    def run(self, params: Sequence[Sequence[float]]) -> np.ndarray:
+        """The stacked output amplitudes, for one parameter vector per circuit."""
+        if len(params) != len(self.circuits):
+            raise ValueError(f"{len(params)} parameter vectors for {len(self.circuits)} circuits")
+        cos, sin = [], []
+        for circuit, p in zip(self.circuits, params):
+            _check_params(circuit, p)
+            for theta in p:
+                c, s = _half_angle(float(theta))
+                cos.append(c)
+                sin.append(s)
+        if self._pair_slots is not None:
+            pair_cos = np.array(cos)[self._pair_slots]
+            pair_sin = np.array(sin)[self._pair_slots]
+        a = np.zeros(self.size, dtype=np.float64)
+        a[self._starts] = 1.0
+        for part, i01, i10, slot in self._steps:
+            if part is None:
+                _rotate(a, i01, i10, pair_cos[slot], pair_sin[slot])
+            else:
+                _rotate(a[part], i01, i10, cos[slot], sin[slot])
+        return a if self._order is None else a[self._order]
+
+
+@lru_cache(maxsize=16)
+def _single(circuit) -> Stack:
+    return Stack((circuit,))
+
+
 def simulate(circuit, params: Sequence[float]) -> StateVector:
     """Run ``circuit`` from |0...0> on its weight sector."""
-    start, blocks, states, order = _compile(circuit)
-    _check_params(circuit, params)
-    a = np.zeros(len(states), dtype=np.float64)
-    a[start] = 1.0
-    for i01, i10, slot in blocks:
-        _rotate(a, i01, i10, float(params[slot]))
-    if order is not None:
-        a = a[order]
-    return StateVector(circuit.num_qubits, states, a)
+    stack = _single(circuit)
+    return StateVector(circuit.num_qubits, stack.states[0], stack.run([params]))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +445,7 @@ def _apply(s: StateVector, pre: int, rotations: Sequence[tuple[int, float]], pos
         mine = weights == w
         vec[np.searchsorted(sector, flipped[mine])] = s.values[mine]
         for lower, theta in rotations:
-            _rotate(vec, *partners[lower], theta)
+            _rotate(vec, *partners[lower], *_half_angle(theta))
         states.append(sector ^ post)
         values.append(vec)
     states = np.concatenate(states)
@@ -376,23 +491,33 @@ def support(s: StateVector, eps: float = 1e-12) -> set[int]:
     return set(s.states[np.abs(s.values) ** 2 > eps].tolist())
 
 
-def draw(s: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """``shots`` i.i.d. basis states from the Born distribution, in draw order.
+def inverse_cdf(values: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Positions in ``values`` that the uniforms ``u`` pick from the Born distribution.
 
-    An inverse-CDF draw that takes the same ``shots`` uniforms from ``rng``, and
-    gives the same picks, as ``rng.choice(len(probs), size=shots, p=probs)``.
-    The uniforms are searched in sorted order, which is cheaper, and the picks
+    The same picks, for the same uniforms, as ``rng.choice(len(probs),
+    size=len(u), p=probs)``. Where the values outnumber the uniforms, these
+    are searched in sorted order, which is cheaper there, and the picks
     scattered back to draw order.
     """
-    probs = np.abs(s.values) ** 2
+    probs = np.abs(values) ** 2
     probs /= probs.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(shots)
+    if len(cdf) <= len(u):
+        return cdf.searchsorted(u, side="right")
     order = np.argsort(u)
-    picks = np.empty(shots, dtype=np.int64)
+    picks = np.empty(len(u), dtype=np.int64)
     picks[order] = cdf.searchsorted(u[order], side="right")
-    return s.states[picks]
+    return picks
+
+
+def draw(s: StateVector, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """``shots`` i.i.d. basis states from the Born distribution, in draw order.
+
+    Takes ``shots`` uniforms from ``rng`` and picks by :func:`inverse_cdf`, as
+    ``rng.choice`` would.
+    """
+    return s.states[inverse_cdf(s.values, rng.random(shots))]
 
 
 def sample(

@@ -137,7 +137,7 @@ def cvar(energies: np.ndarray, alpha: float) -> float:
     The result's last bits depend on the order of ``energies``, because
     ``np.partition`` leaves the kept ones in an order set by the input and the
     mean sums them in that order; the optimizer therefore passes its outcomes
-    in first-draw order (:meth:`~hwvqe.partition.FragmentPreparer.sample`).
+    in first-draw order (:meth:`~hwvqe.partition.FragmentPreparer.count`).
     """
     e = np.asarray(energies, dtype=np.float64).ravel()
     if e.size == 0:
@@ -410,9 +410,12 @@ def optimize(
     (:class:`~hwvqe.partition.FragmentPreparer`): soft mode the depth-0
     sub-ansatz ``SubAnsatzId(problem.form.spec, ())``, i.e. the full-width
     ansatz as one fragment; hard mode the located ``target``, so the only
-    statevectors built are fragment-sized. Each stage contracts the previous
-    physical angles into the new grouping, runs the trust-region loop for its
-    epoch budget, and expands its best evaluated point back.
+    statevectors built are fragment-sized. A cell that holds no more states
+    than the run draws (``shots * sum(epochs)``) is costed once, whole
+    (:meth:`~hwvqe.partition.FragmentPreparer.tabulate`), and each evaluation
+    reads its outcomes' energies from that table. Each stage contracts the
+    previous physical angles into the new grouping, runs the trust-region loop
+    for its epoch budget, and expands its best evaluated point back.
 
     Every stage makes exactly ``schedule.epochs[stage]`` objective
     evaluations, so the trace has ``sum(schedule.epochs)`` rows:
@@ -441,6 +444,7 @@ def optimize(
         )
 
     cost = batch_evaluator(problem)
+    preparer.tabulate(cost, cvar_cfg.shots * sum(schedule.epochs))
     rng = np.random.default_rng(seed)
     gs_bits = _exact_ground_state(problem, spec)
 
@@ -458,8 +462,11 @@ def optimize(
         def objective(logical: np.ndarray) -> float:
             nonlocal epoch, best_bits, best_energy
             params = expand_params(logical, beta, preparer.num_params)
-            states, multiplicity = preparer.sample(preparer.split(params), cvar_cfg.shots, rng)
-            energies = cost(states)
+            cells, multiplicity = preparer.count(
+                preparer.draw(preparer.split(params), cvar_cfg.shots, rng)
+            )
+            states = preparer.states_of(cells)
+            energies = cost(states) if preparer.table is None else preparer.table[1][cells]
             order = np.lexsort((states, energies))
             low = order[0]
             if energies[low] < best_energy or (

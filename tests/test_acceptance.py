@@ -220,13 +220,14 @@ def test_criterion_06_locator_end_to_end():
 def test_criterion_07_forty_qubit_hard_mode(monkeypatch):
     started = time.monotonic()
     simulated_sizes = []
-    original = qsim.simulate
+    original = qsim.Stack.run
 
-    def spying_simulate(circuit, params):
-        simulated_sizes.append(circuit.num_qubits)
-        return original(circuit, params)
+    def spying_run(stack, params):
+        # every simulation runs a Stack: qsim.simulate and each fragment product
+        simulated_sizes.extend(circuit.num_qubits for circuit in stack.circuits)
+        return original(stack, params)
 
-    monkeypatch.setattr(qsim, "simulate", spying_simulate)
+    monkeypatch.setattr(qsim.Stack, "run", spying_run)
 
     def solve_hard(problem, seed):
         report = locate.locate_hard(problem, p=2, refine=True, seed=seed)

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_subspace_min
 from hwvqe import cli, locate, vqe
-from hwvqe.ansatz import circuit_from_text
+from hwvqe.ansatz import DickeSpec, circuit_from_text
 from hwvqe.cli import ConfigError, load_config, main
 from hwvqe.partition import SubAnsatzId
 from hwvqe.problem import (
@@ -140,6 +141,67 @@ def test_validation_errors_cite_the_offending_line(tmp_path, capsys, overrides, 
         if f'"{key}"' in line
     )
     assert f":{expected_line}:" in err
+
+
+@pytest.mark.parametrize(
+    "section, doc, key, limit",
+    [
+        ("schedule", {"counts": [4, 1], "epochs": [12, None], "rho_pi": [0.15, 0.1]}, "epochs",
+         cli._MAX_EVALS - 12),
+        ("study", {"epochs": None}, "epochs", cli._MAX_EVALS),
+        # default alphas and betas (4 each) and 80 epochs: 1280 rows per seed
+        ("study", {"seeds": None}, "seeds", cli.qsim.MAX_ENGINE_BYTES // (cli._ROW_BYTES * 1280)),
+        ("study", {"alphas": [0.1, 0.2], "betas": [1], "epochs": 7, "seeds": None}, "seeds",
+         cli.qsim.MAX_ENGINE_BYTES // (cli._ROW_BYTES * 14)),
+    ],
+    ids=["schedule-epochs-sum", "study-epochs", "study-seeds", "study-seeds-of-a-small-grid"],
+)
+def test_evaluation_and_study_row_bounds_cite_their_line(tmp_path, section, doc, key, limit):
+    """schedule.epochs (their sum), study.epochs and study.seeds are bounded by the
+    bytes an evaluation or a study row holds, within the engine cap."""
+
+    def config(value):
+        filled = json.loads(json.dumps(doc).replace("null", str(value)))
+        return _write_config(tmp_path, **{section: filled})
+
+    load_config(config(limit))
+    path = config(limit + 1)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    lines = path.read_text().splitlines()
+    opens = next(i for i, text in enumerate(lines) if f'"{section}"' in text)
+    line = next(i for i in range(opens, len(lines)) if f'"{key}"' in lines[i]) + 1
+    assert str(err.value).startswith(f"{path}:{line}: {section} {key} must ")
+    assert "MiB engine cap" in str(err.value)
+
+
+def test_an_objective_evaluation_holds_at_most_the_shot_bound_per_shot():
+    """One evaluation's peak traced bytes per shot, at 2**16 shots, on a cell costed
+    per evaluation (np.unique over draws 87% distinct) and on a tabulated one."""
+    shots = 1 << 16
+    cases = [
+        # D^8_4 x D^8_4 x D^8_4 x D^8_4: 24,010,000 states, past 2**16 draws
+        (synth_assets(32, 3, budget=16), SubAnsatzId(DickeSpec(32, 16), ((8,), (4, 4)))),
+        # D^10_10 x D^10_9 x D^10_1 x D^10_0: 100 states
+        (synth_assets(40, 3, budget=20), SubAnsatzId(DickeSpec(40, 20), ((10,), (9, 0)))),
+    ]
+    for problem, target in cases:
+        def run(count):
+            return vqe.optimize(
+                problem, mode="hard", target=target, theta0=0.5 * np.pi, seed=1,
+                cvar_cfg=vqe.CVaRConfig(alpha=0.5, shots=count),
+                schedule=vqe.CorrelationSchedule(counts=(1,), epochs=(1,), rho=(0.1,)),
+            )
+
+        run(64)  # the form's byte tables and the compiled circuits are built once
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run(shots)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / shots <= cli._SHOT_BYTES, (str(target), peak / shots)
 
 
 @pytest.mark.parametrize(
@@ -961,6 +1023,13 @@ def _swap_in_instance(work, doc, instance):
 # a grid too long to hold in memory
 @example(base="portfolio12", edits=[("value", ("curves", "points"), 10**12)], instance=None,
          config_garble=None, command="curves")
+# traces and study tables too long to hold in memory
+@example(base="portfolio12", edits=[("value", ("schedule", "epochs"), [3, 10**12])], instance=None,
+         config_garble=None, command="solve")
+@example(base="portfolio12", edits=[("value", ("study", "epochs"), 10**12)], instance=None,
+         config_garble=None, command="study")
+@example(base="portfolio12", edits=[("value", ("study", "seeds"), 10**12)], instance=None,
+         config_garble=None, command="study")
 def test_fuzzed_inputs_exit_cleanly_with_a_located_message(
     tmp_path, base, edits, instance, config_garble, command
 ):

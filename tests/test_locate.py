@@ -560,3 +560,30 @@ def test_in_subansatz_checks_per_fragment_weights():
     position_of = dict(zip(reversed(range(len(frags))), shifts))
     moved = bits - (1 << position_of[donor]) + (1 << (position_of[taker] + frags[taker].k))
     assert not in_subansatz(moved, sa)
+
+
+@pytest.mark.parametrize("driver", ["soft", "hard"])
+def test_location_screens_each_mirror_pair_once(driver, monkeypatch):
+    """Level-1 cells i and extent-1-i of an unpinned bisection are mirrors: one
+    screen gives both, and the report is the one that screens each alone."""
+    run = (lambda g: locate_soft(g)) if driver == "soft" else (lambda g: locate_hard(g, p=2))
+    calls = []
+    original = locate.subspace_min
+
+    def spy(sa, *args, **kwargs):
+        calls.append(sa)
+        return original(sa, *args, **kwargs)
+
+    monkeypatch.setattr(locate, "subspace_min", spy)
+    report = run(synth_graph(16, 0.5, 1, 2))
+    level_one = [str(sa) for sa in calls if sa.depth == 1]
+    assert level_one == ["sa^1_[1]", "sa^1_[2]"]
+    assert [str(sa) for sa, _ in report.trail][:4] == ["sa^1_[1]", "sa^1_[2]", "sa^1_[6]", "sa^1_[7]"]
+    for sa in calls:
+        assert sa.mirror() == _mirror_cell(sa) and sa.mirror().mirror() == sa
+
+    calls.clear()
+    monkeypatch.setattr(QuadraticCost, "mirror_window", None)  # a fresh form reads it
+    alone = run(synth_graph(16, 0.5, 1, 2))
+    assert len(calls) == len(alone.trail) == len(report.trail)
+    assert alone.to_json() == report.to_json()

@@ -299,3 +299,47 @@ def test_entanglement_entropy_binary_values():
     assert abs(entanglement_entropy(a, b) - expected) < 1e-12
     with pytest.raises(ValueError):
         entanglement_entropy(1.0, 1.0)
+
+
+class _TabulatedPreparer(FragmentPreparer):
+    """A preparer whose whole cell is tabulated, so it counts into cell-long arrays."""
+
+    def __init__(self, sa):
+        super().__init__(sa)
+        assert self.tabulate(lambda states: states.astype(np.float64), self.size)
+
+
+@pytest.mark.parametrize("levels", [(), ((2,),)], ids=["soft-one-fragment", "hard-two-fragments"])
+def test_tabulated_sample_keeps_counter_first_draw_order(rng, levels, monkeypatch):
+    monkeypatch.setitem(globals(), "FragmentPreparer", _TabulatedPreparer)
+    test_sample_keeps_counter_first_draw_order(rng, levels)
+
+
+@pytest.mark.parametrize(
+    "n, k, levels", [(8, 4, ()), (12, 6, ((2,),)), (16, 8, ((3,), (1, 3))), (16, 8, ((0,), (0, 0)))]
+)
+def test_cell_indices_decode_to_product_states(n, k, levels, rng):
+    sa = SubAnsatzId(DickeSpec(n, k), levels)
+    preparer = FragmentPreparer(sa)
+    every = product_states(sa.fragments())
+    assert preparer.size == len(every)
+    assert np.array_equal(preparer.states_of(np.arange(preparer.size)), every)
+    picks = rng.integers(0, preparer.size, 50)
+    assert preparer.tabulate(lambda states: states.astype(np.float64), preparer.size)
+    assert np.array_equal(preparer.states_of(picks), every[picks])
+
+
+def test_tabulate_only_a_cell_no_larger_than_the_draws():
+    sa = SubAnsatzId(DickeSpec(12, 6), ((2,),))  # D^6_2 x D^6_4: 225 states
+    costed = []
+
+    def cost(states):
+        costed.append(len(states))
+        return states.astype(np.float64)
+
+    preparer = FragmentPreparer(sa)
+    assert not preparer.tabulate(cost, 224) and preparer.table is None and not costed
+    assert preparer.tabulate(cost, 225) and costed == [225]
+    states, energies = preparer.table
+    assert np.array_equal(states, product_states(sa.fragments()))
+    assert np.array_equal(energies, states.astype(np.float64))

@@ -304,3 +304,64 @@ def test_block_prefixes_cover_exactly_the_reachable_states(case):
     order = np.argsort(sector ^ post)
     assert np.array_equal(psi.states, (sector ^ post)[order])
     assert np.array_equal(np.abs(psi.values), np.abs(full[order]))  # skipped pairs hold only zeros
+
+
+def test_popcount_table_matches_int_bit_count():
+    table = qsim._POPCOUNT16
+    assert table.dtype == np.uint8 and len(table) == 1 << 16
+    assert table.tolist() == [i.bit_count() for i in range(1 << 16)]
+
+
+def _stacked_fragments(n, k, levels):
+    """The circuits of a cell's parameterized fragments (weight 0 and full weight are fixed)."""
+    from hwvqe.partition import SubAnsatzId
+
+    frags = SubAnsatzId(DickeSpec(n, k), levels).fragments()
+    return [build_for(f) for f in frags if 0 < f.k < f.n]
+
+
+@pytest.mark.parametrize(
+    "n, k, levels",
+    [
+        (12, 7, ()),  # depth 0: one conjugate circuit
+        (12, 6, ((2,),)),  # D^6_2 x D^6_4: a folded and a conjugate circuit, unequal blocks
+        (16, 8, ((3,), (1, 3))),  # depth 2: D^4_1 x D^4_2 x D^4_4 x D^4_1, one fixed
+        (40, 20, ((10,), (9, 0))),  # D^10_10 x D^10_9 x D^10_1 x D^10_0: two fixed fragments
+        (20, 10, ((5,),)),  # D^10_5 x D^10_5: steps of up to 252 pairs, all merged
+        (32, 16, ((8,),)),  # D^16_8 x D^16_8: steps past the merge cap rotate in turn
+    ],
+)
+def test_stack_equals_each_circuit_simulated_alone(n, k, levels, rng):
+    circuits = _stacked_fragments(n, k, levels)
+    stack = qsim.Stack(circuits)
+    params = [rng.uniform(0.0, 2.0 * math.pi, c.num_params) for c in circuits]
+    values = stack.run(params)
+    assert len(values) == stack.size == sum(len(s) for s in stack.states)
+    for circuit, p, (lo, hi), states in zip(circuits, params, stack.bounds, stack.states):
+        alone = simulate(circuit, p)
+        assert np.array_equal(states, alone.states)
+        assert np.array_equal(values[lo:hi], alone.values)  # bitwise
+        if circuit.num_qubits <= 12:
+            sparse = sparse_simulate(circuit, p)
+            got = dict(zip(states.tolist(), values[lo:hi].tolist()))
+            for b in set(sparse) | set(got):
+                assert abs(sparse.get(b, 0.0) - got.get(b, 0.0)) < 1e-12
+
+
+def test_stack_merges_small_steps_only():
+    small = qsim.Stack(_stacked_fragments(20, 10, ((5,),)))
+    assert all(part is None for part, *_ in small._steps)
+    large = qsim.Stack(_stacked_fragments(32, 16, ((8,),)))
+    merged = [len(i01) for part, i01, _, _ in large._steps if part is None]
+    alone = [len(i01) for part, i01, _, _ in large._steps if part is not None]
+    assert merged and max(merged) <= qsim._MERGED_PAIRS < max(alone)
+    one = qsim.Stack([build_for(DickeSpec(16, 8))])
+    assert one._pair_slots is None  # one circuit: scalar angles at every step
+
+
+def test_stack_refuses_the_wrong_parameter_count():
+    stack = qsim.Stack(_stacked_fragments(12, 6, ((2,),)))
+    with pytest.raises(ValueError, match="parameter vectors"):
+        stack.run([np.zeros(stack.circuits[0].num_params)])
+    with pytest.raises(ValueError, match="parameters for"):
+        stack.run([np.zeros(1), np.zeros(stack.circuits[1].num_params)])

@@ -12,7 +12,7 @@ import pytest
 from conftest import exact_minimum, sparse_simulate
 from hwvqe import locate, qsim, vqe
 from hwvqe.ansatz import DickeSpec, build_for
-from hwvqe.partition import enumerate_subansatz_arrays
+from hwvqe.partition import FragmentPreparer, SubAnsatzId, enumerate_subansatz_arrays
 from hwvqe.problem import batch_evaluator, reorder, synth_assets
 from hwvqe.vqe import (
     TRACE_HEADER,
@@ -384,13 +384,14 @@ def test_optimize_hard_mode_stays_fragment_sized(monkeypatch):
     largest_fragment = max(f.n for f in report.predicted.fragments())
 
     sizes = []
-    original = qsim.simulate
+    original = qsim.Stack.run
 
-    def spying_simulate(circuit, params):
-        sizes.append(circuit.num_qubits)
-        return original(circuit, params)
+    def spying_run(stack, params):
+        # every simulation runs a Stack: qsim.simulate and each fragment product
+        sizes.extend(circuit.num_qubits for circuit in stack.circuits)
+        return original(stack, params)
 
-    monkeypatch.setattr(qsim, "simulate", spying_simulate)
+    monkeypatch.setattr(qsim.Stack, "run", spying_run)
     best, energy, rows = optimize(
         p,
         mode="hard",
@@ -497,3 +498,54 @@ def test_plateau_estimators():
     assert epochs_to_plateau(trace, closeness=0.75) == 2  # 8 - 2 <= 0.75 * 8
     assert epochs_to_plateau([3.0, 3.0, 3.0]) == 1  # no gap to close
     assert epochs_to_plateau([1.0, 2.0, 3.0, 4.0]) == 1  # rising trace
+
+
+@pytest.mark.parametrize(
+    "mode, shots, epochs",
+    [
+        ("soft", 64, (12, 12)),  # D^12_6: 924 states <= 1536 draws, tabulated
+        ("soft", 8, (12, 12)),  # 192 draws: costed per evaluation
+        ("hard", 16, (12, 12)),  # a depth-1 cell of 225 states <= 384 draws
+        ("hard", 4, (12, 12)),  # 96 draws
+    ],
+)
+def test_tabulated_and_costed_cells_give_the_same_run(mode, shots, epochs, monkeypatch):
+    p, _ = reorder(synth_assets(12, 5, q=0.9), "by-return")
+    target = SubAnsatzId(p.form.spec, ((4,),)) if mode == "hard" else None
+    kwargs = dict(
+        mode=mode,
+        target=target,
+        cvar_cfg=CVaRConfig(alpha=0.2, shots=shots),
+        schedule=CorrelationSchedule(counts=(2, 1), epochs=epochs, rho=(0.15 * np.pi, 0.1 * np.pi)),
+        seed=3,
+    )
+    costed = []
+    real_cost = p.form
+    monkeypatch.setattr(type(p), "form", property(lambda self: _Counting(real_cost, costed)))
+    tabulated = optimize(p, **kwargs)
+    tabulate_calls = list(costed)
+    size = FragmentPreparer(target or SubAnsatzId(p.form.spec, ())).size
+    draws = shots * sum(epochs)
+    if size <= draws:
+        assert tabulate_calls == [size]  # the whole cell once, nothing per evaluation
+    else:
+        assert len(tabulate_calls) == sum(epochs)
+
+    costed.clear()
+    monkeypatch.setattr(FragmentPreparer, "tabulate", lambda self, cost, draws: False)
+    assert optimize(p, **kwargs) == tabulated
+    assert len(costed) == sum(epochs)
+
+
+class _Counting:
+    """A cost form that records the size of every batch it costs."""
+
+    def __init__(self, form, log):
+        self.form, self.log = form, log
+
+    def __getattr__(self, name):
+        return getattr(self.form, name)
+
+    def __call__(self, states):
+        self.log.append(len(states))
+        return self.form(states)
