@@ -219,15 +219,14 @@ def _is_fraction(value: Any) -> bool:
     return _is_real(value) and 0.0 < value <= 1.0
 
 
-# One objective evaluation peaks at 65 bytes per shot, in np.unique on a cell
-# too large to tabulate (FragmentPreparer.count): eight shots-long int64 arrays
-# (the drawn cell indices, and np.unique's copy, sort order, sorted copy,
+# One objective evaluation peaks at 65 bytes per shot, in np.unique
+# (FragmentPreparer.count) when most draws are distinct: eight shots-long int64
+# arrays (the drawn cell indices, and np.unique's copy, sort order, sorted copy,
 # distinct cells, first-draw indices, run bounds and counts) and a bool mask.
-# Drawing holds at most six, the CVaR in optimize seven, and a tabulated cell's
-# count four and a mask (its cell-long arrays are bounded by
-# partition.TABLE_BYTES). tracemalloc read 67.7 bytes per shot at 2**20 shots
-# and 66.0 at 2**21 on D^20_10 x D^20_10 (98-99% distinct), the excess being
-# the fragments' fixed amplitudes, and 25.0 at 2**20 on a tabulated cell.
+# Drawing holds at most six and the CVaR in optimize seven. tracemalloc read
+# 67.7 bytes per shot at 2**20 shots and 66.0 at 2**21 on D^20_10 x D^20_10
+# (98-99% distinct), the excess being the fragments' fixed amplitudes, and 34.0
+# at 2**20 on a tabulated 100-state cell, whose distinct-cell arrays are short.
 _SHOT_BYTES = 8 * 8 + 1
 _MAX_SHOTS = qsim.MAX_ENGINE_BYTES // _SHOT_BYTES
 # An evaluation keeps its TraceRow until trace.csv is written: 249 bytes with its
@@ -350,14 +349,22 @@ def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
     expect(("study", "epochs"), lambda v: _is_positive_int(v) and v <= _MAX_EVALS,
            f"a positive integer of at most {_MAX_EVALS} ({_EVAL_BYTES} bytes per evaluation "
            f"within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap)")
-    per_seed = math.prod(
-        len(cfg.setting("study", key)) for key in ("alphas", "betas")
-    ) * cfg.setting("study", "epochs")
-    max_seeds = qsim.MAX_ENGINE_BYTES // (_ROW_BYTES * per_seed)
-    expect(("study", "seeds"), lambda v: _is_positive_int(v) and v <= max_seeds,
-           f"a positive integer of at most {max_seeds}, a count of consecutive seeds "
-           f"({per_seed} study rows per seed of {_ROW_BYTES} bytes within the "
-           f"{qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap)")
+    expect(("study", "seeds"), _is_positive_int, "a positive integer, a count of consecutive seeds")
+    # a study holds alphas x betas x epochs rows per seed: one seed's must fit
+    # (at the epochs line), then every seed's (at the seeds line)
+    cells = math.prod(len(cfg.setting("study", key)) for key in ("alphas", "betas"))
+    epochs, seeds = (cfg.setting("study", key) for key in ("epochs", "seeds"))
+    row_cap = f"of {_ROW_BYTES} bytes within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap"
+    max_epochs = qsim.MAX_ENGINE_BYTES // (_ROW_BYTES * cells)
+    if epochs > max_epochs:
+        cfg.fail(("study", "epochs"),
+                 f"study epochs must be at most {max_epochs} with {cells} (alpha, beta) cells "
+                 f"(a study row per cell per epoch {row_cap}), got {epochs}")
+    max_seeds = max_epochs // epochs
+    if seeds > max_seeds:
+        cfg.fail(("study", "seeds"),
+                 f"study seeds must be at most {max_seeds} ({cells * epochs} study rows per "
+                 f"seed {row_cap}), got {seeds}")
     expect(("curves", "points"), lambda v: _is_positive_int(v) and v <= _MAX_POINTS,
            f"a positive integer of at most {_MAX_POINTS} ({_POINT_BYTES} bytes per point "
            f"within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap)")

@@ -276,6 +276,9 @@ class _CellCache:
     and its mirror cell's (:func:`subspace_min` with ``mirror``). The mirror's
     waits in ``screened`` and joins ``results`` and ``trail`` only when that
     cell is asked for, so both record the cells asked for, in that order.
+    Location asks only for children of the cell it has reached, so a cell is
+    screened with its mirror only where the two are siblings: every level-1
+    cell, and deeper cells under a cell that is its own mirror.
     """
 
     def __init__(self, cost: QuadraticCost, cap: int):
@@ -294,7 +297,12 @@ class _CellCache:
             out = self.screened.pop(sa)
         elif subansatz_basis_count(sa) > self.cap:
             out = (None, math.inf)
-        elif mirror is None or mirror == sa or mirror in self.results:
+        elif (
+            mirror is None
+            or mirror == sa
+            or mirror in self.results
+            or mirror.levels[:-1] != sa.levels[:-1]  # never asked for: see the class
+        ):
             state, energy = subspace_min(sa, self.cost, self.cap)
             out = (state.bits, energy)
         else:

@@ -258,10 +258,9 @@ def in_subansatz(bits: int, sa: SubAnsatzId) -> bool:
     return True
 
 
-# A tabulated cell holds, per state, its int64 state and float64 energy, and each
-# evaluation counts into two cell-long int64 arrays (counts and first draws).
-# tracemalloc read 16 bytes per state held and 16 more while counting, at
-# 184,756 and 853,776 states; building the table peaked at 24.5.
+# A tabulated cell holds, per state, its int64 state and float64 energy.
+# tracemalloc read 16 bytes per state held, at 184,756 and 853,776 states, and
+# 24.5 at the peak of building the table; four int64 per state cover that peak.
 TABLE_BYTES = 4 * 8
 
 
@@ -348,17 +347,7 @@ class FragmentPreparer:
         return np.zeros(shots, dtype=np.int64) if cells is None else cells
 
     def count(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct cell indices and their counts, in first-draw order.
-
-        A tabulated cell counts into cell-long arrays; any other sorts the draws.
-        """
-        if self.table is not None:
-            counts = np.bincount(cells, minlength=self.size)
-            first = np.full(self.size, len(cells))
-            drawn = np.arange(len(cells))
-            np.minimum.at(first, cells, drawn)
-            seen = cells[first[cells] == drawn]  # each cell at its first draw
-            return seen, counts[seen]
+        """The distinct cell indices and their counts, in first-draw order."""
         seen, first, counts = np.unique(cells, return_index=True, return_counts=True)
         order = np.argsort(first)
         return seen[order], counts[order]

@@ -334,19 +334,24 @@ class Stack:
     def __init__(self, circuits: Sequence):
         self.circuits = tuple(circuits)
         compiled = [_compile(c) for c in self.circuits]
-        bounds, starts, orders = [], [], []
+        bounds, starts = [], []
         end = 0
-        for begin, _, states, order in compiled:
+        for begin, _, states, _ in compiled:
             bounds.append((end, end + len(states)))
             starts.append(end + begin)
-            orders.append(np.arange(end, end + len(states)) if order is None else order + end)
             end += len(states)
         self.bounds = tuple(bounds)
         self.states = tuple(states for _, _, states, _ in compiled)
         self.size = end
         self._starts = np.array(starts, dtype=np.int64)
-        reorders = any(order is not None for _, _, _, order in compiled)
-        self._order = np.concatenate(orders) if reorders else None
+        self._order = None
+        if len(compiled) == 1:
+            self._order = compiled[0][3]  # _compile's cached order, not a copy
+        elif any(order is not None for _, _, _, order in compiled):
+            self._order = np.concatenate([
+                np.arange(lo, hi) if order is None else order + lo
+                for (lo, hi), (_, _, _, order) in zip(bounds, compiled)
+            ])
 
         # a step is (part, i01, i10, slot): with `part` a slice of the vector, the
         # tables index that slice and `slot` is a slot of the joined parameter

@@ -148,13 +148,18 @@ def test_validation_errors_cite_the_offending_line(tmp_path, capsys, overrides, 
     [
         ("schedule", {"counts": [4, 1], "epochs": [12, None], "rho_pi": [0.15, 0.1]}, "epochs",
          cli._MAX_EVALS - 12),
-        ("study", {"epochs": None}, "epochs", cli._MAX_EVALS),
-        # default alphas and betas (4 each) and 80 epochs: 1280 rows per seed
+        ("study", {"alphas": [0.1], "betas": [1], "seeds": 1, "epochs": None}, "epochs",
+         cli._MAX_EVALS),
+        # default alphas and betas (4 each): one seed's rows bound the epochs
+        ("study", {"seeds": 1, "epochs": None}, "epochs",
+         cli.qsim.MAX_ENGINE_BYTES // (cli._ROW_BYTES * 16)),
+        # default alphas and betas and 80 epochs: 1280 rows per seed
         ("study", {"seeds": None}, "seeds", cli.qsim.MAX_ENGINE_BYTES // (cli._ROW_BYTES * 1280)),
         ("study", {"alphas": [0.1, 0.2], "betas": [1], "epochs": 7, "seeds": None}, "seeds",
          cli.qsim.MAX_ENGINE_BYTES // (cli._ROW_BYTES * 14)),
     ],
-    ids=["schedule-epochs-sum", "study-epochs", "study-seeds", "study-seeds-of-a-small-grid"],
+    ids=["schedule-epochs-sum", "study-epochs", "study-epochs-of-the-default-grid",
+         "study-seeds", "study-seeds-of-a-small-grid"],
 )
 def test_evaluation_and_study_row_bounds_cite_their_line(tmp_path, section, doc, key, limit):
     """schedule.epochs (their sum), study.epochs and study.seeds are bounded by the
@@ -1030,6 +1035,10 @@ def _swap_in_instance(work, doc, instance):
          config_garble=None, command="study")
 @example(base="portfolio12", edits=[("value", ("study", "seeds"), 10**12)], instance=None,
          config_garble=None, command="study")
+# within the per-evaluation bound, but one seed's rows of a 4-cell grid do not fit
+@example(base="portfolio12",
+         edits=[("value", ("study", "betas"), [1, 10, 20, 40]), ("value", ("study", "epochs"), 10**6)],
+         instance=None, config_garble=None, command="study")
 def test_fuzzed_inputs_exit_cleanly_with_a_located_message(
     tmp_path, base, edits, instance, config_garble, command
 ):

@@ -587,3 +587,26 @@ def test_location_screens_each_mirror_pair_once(driver, monkeypatch):
     alone = run(synth_graph(16, 0.5, 1, 2))
     assert len(calls) == len(alone.trail) == len(report.trail)
     assert alone.to_json() == report.to_json()
+
+
+@pytest.mark.parametrize("n, paired", [(16, 2), (24, 9)])
+def test_location_pairs_a_screen_only_with_a_sibling_mirror(n, paired, monkeypatch):
+    """The walk asks only for children of the cell it has reached: at n = 16 it
+    enters level-1 cell 1, whose children's mirrors lie under cell 7, and at
+    n = 24 the self-mirror cell 6, whose children mirror each other."""
+    calls = []
+    original = locate.subspace_min
+
+    def spy(sa, *args, mirror=False, **kwargs):
+        calls.append((sa, mirror))
+        return original(sa, *args, mirror=mirror, **kwargs)
+
+    monkeypatch.setattr(locate, "subspace_min", spy)
+    report = locate_hard(synth_graph(n, 0.5, 1, 2), p=2)
+    assert sum(mirror for _, mirror in calls) == paired
+    assert all(sa.mirror().levels[:-1] == sa.levels[:-1] for sa, mirror in calls if mirror)
+    calls.clear()
+    monkeypatch.setattr(QuadraticCost, "mirror_window", None)
+    alone = locate_hard(synth_graph(n, 0.5, 1, 2), p=2)
+    assert len(calls) == len(alone.trail) == len(report.trail)
+    assert alone.to_json() == report.to_json()

@@ -302,7 +302,7 @@ def test_entanglement_entropy_binary_values():
 
 
 class _TabulatedPreparer(FragmentPreparer):
-    """A preparer whose whole cell is tabulated, so it counts into cell-long arrays."""
+    """A preparer whose whole cell is tabulated, so it reads states from the table."""
 
     def __init__(self, sa):
         super().__init__(sa)

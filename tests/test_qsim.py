@@ -365,3 +365,11 @@ def test_stack_refuses_the_wrong_parameter_count():
         stack.run([np.zeros(stack.circuits[0].num_params)])
     with pytest.raises(ValueError, match="parameters for"):
         stack.run([np.zeros(1), np.zeros(stack.circuits[1].num_params)])
+
+
+def test_a_lone_circuit_stack_shares_its_compiled_order():
+    circuit = build_for(DickeSpec(12, 7))  # conjugate: its output is reordered
+    order = qsim._compile(circuit)[3]
+    assert order is not None and qsim.Stack([circuit])._order is order
+    pair = qsim.Stack(_stacked_fragments(12, 6, ((2,),)))  # one of the two reorders
+    assert np.array_equal(np.sort(pair._order), np.arange(pair.size))
