@@ -39,7 +39,6 @@ from .partition import (
     format_id,
     in_subansatz,
     product_states,
-    subansatz_basis_count,
 )
 from .qsim import MAX_PACKED_QUBITS, BasisState
 from .problem import (
@@ -254,6 +253,37 @@ _ROW_BYTES = 32 + (49 + 82 + 8) + 3 * 82
 _POINT_BYTES = (49 + 19 * 24 + 18 + 8) + 2 * (19 * 24 + 18 + 1) + 24 * 8
 _MAX_POINTS = qsim.MAX_ENGINE_BYTES // _POINT_BYTES
 
+# gen-data holds a generated instance while it writes it. A portfolio peaks at
+# 157 bytes per covariance entry, in save_portfolio's indented json.dumps: the
+# float64 entry, its Python float in the "A" list (24 bytes and an 8-byte slot),
+# its chunk in the encoder's list (a 49-byte str header, a comma, a newline, a
+# 4-space indent and at most 24 characters, an 8-byte slot) and those 30
+# characters again in the joined text. Its prices.csv, written next, holds at
+# most 25 characters per price (a float and a comma) four times (the row
+# strings, their join, its newline-ended copy, the encoding) and the float64
+# price: 108 bytes per price, 253 prices per asset. A graph holds, per pair of
+# nodes, its two float64 weights and at most one edge line of 32 characters
+# (two indices of at most 4 digits, a float, two spaces) three times (the line
+# string with its 49-byte header and 8-byte slot, the join, its newline-ended
+# copy). tracemalloc read 153.6-154.6 bytes per entry and 16-18 KB per asset at
+# n = 400-1600, and 152.9 bytes per node pair at n = 400-800 with every edge.
+_COV_ENTRY_BYTES = 8 + (24 + 8) + (49 + 30 + 8) + 30
+_PRICE_ASSET_BYTES = 253 * (4 * 25 + 8)
+_NODE_PAIR_BYTES = 2 * 8 + (49 + 32 + 8) + 2 * 32
+# the widest instance of each kind within the engine cap: the largest n with
+# 157 n^2 + 27324 n, or 169 n^2 / 2 (every node pair), at most the cap
+_MAX_GEN_WIDTH = {
+    "synth-portfolio": (
+        (math.isqrt(_PRICE_ASSET_BYTES**2 + 4 * _COV_ENTRY_BYTES * qsim.MAX_ENGINE_BYTES)
+         - _PRICE_ASSET_BYTES) // (2 * _COV_ENTRY_BYTES),
+        f"{_COV_ENTRY_BYTES} bytes per covariance entry and {_PRICE_ASSET_BYTES} per asset",
+    ),
+    "synth-graph": (
+        math.isqrt(2 * qsim.MAX_ENGINE_BYTES // _NODE_PAIR_BYTES),
+        f"{_NODE_PAIR_BYTES} bytes per node pair",
+    ),
+}
+
 
 def _is_array_of(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
     return lambda value: isinstance(value, list) and bool(value) and all(test(v) for v in value)
@@ -337,8 +367,10 @@ def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
     cv = cfg.cvar
     for k in ("alpha_start", "alpha_cap"):
         expect(("cvar", k), _is_fraction, "a number in (0, 1]")
-    if "alpha_start" in cv and "alpha_cap" in cv and cv["alpha_start"] > cv["alpha_cap"]:
-        cfg.fail(("cvar", "alpha_start"), "alpha_start exceeds alpha_cap")
+    start, cap = (cfg.setting("cvar", k) for k in ("alpha_start", "alpha_cap"))
+    if start > cap:  # at the line of the one the file holds, alpha_start if both
+        cfg.fail(("cvar", "alpha_start" if "alpha_start" in cv else "alpha_cap"),
+                 f"alpha_start {start!r} exceeds alpha_cap {cap!r}")
     for path in (("cvar", "shots"), ("study", "shots")):
         expect(path, lambda v: _is_positive_int(v) and v <= _MAX_SHOTS,
                f"a positive integer of at most {_MAX_SHOTS} ({_SHOT_BYTES} bytes per shot "
@@ -375,14 +407,28 @@ def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_width(cfg: RunConfig, n: int, packed: bool) -> None:
+    if packed and n > MAX_PACKED_QUBITS:
+        cfg.fail(("problem", "n"), f"{n} qubits exceed the {MAX_PACKED_QUBITS}-qubit limit of int64 bit packing")
+
+
 def build_problem(cfg: RunConfig, packed: bool = True):
     """Instantiate the configured problem and apply the reordering policy.
 
     With ``packed`` (every subcommand but ``gen-data``), a problem wider than
-    the int64 bit packing of basis states allows is a config error.
+    the int64 bit packing of basis states allows is a config error; without
+    it, a generated instance must fit the engine cap (``_MAX_GEN_WIDTH``).
+    A generator's width is checked before it runs.
     """
     spec = cfg.problem
     kind = spec["kind"]
+    if "n" in spec:  # a generator's width, checked before it allocates anything
+        _check_width(cfg, spec["n"], packed)
+        widest, held = _MAX_GEN_WIDTH[kind]
+        if not packed and spec["n"] > widest:
+            cfg.fail(("problem", "n"),
+                     f"gen-data writes {kind} instances of width at most {widest} ({held} "
+                     f"within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap), got {spec['n']}")
     try:
         if kind == "synth-portfolio":
             prob = synth_assets(int(spec["n"]), int(spec["seed"]), q=float(spec.get("q", 0.9)))
@@ -407,11 +453,7 @@ def build_problem(cfg: RunConfig, packed: bool = True):
         if "path" in spec:
             raise  # the loaders name their own file, and line where it has lines
         cfg.fail(("problem", "n"), str(exc))  # the generators refuse only widths
-    if packed and prob.n > MAX_PACKED_QUBITS:
-        cfg.fail(
-            ("problem", "n"),
-            f"{prob.n} qubits exceed the {MAX_PACKED_QUBITS}-qubit limit of int64 bit packing",
-        )
+    _check_width(cfg, prob.n, packed)
     if isinstance(prob, PortfolioProblem):
         # applied once the width is known, so that a bad budget cites its line
         # (a portfolio file's budget is the file's own "xi")
@@ -561,6 +603,9 @@ def cmd_solve(cfg: RunConfig, args) -> int:
             if theta0 is None:
                 theta0 = _theta0_near(spec, report.predicted.levels[0][0], notes)
     else:
+        if cfg.depth >= spec.n.bit_length():  # 2^depth > n, without computing 2^depth
+            cfg.fail("depth", f"depth {cfg.depth} exceeds {spec.n.bit_length() - 1}: its 2^depth "
+                              f"fragments would outnumber the {spec.n} qubits")
         if spec.n % (1 << cfg.depth):
             cfg.fail("depth", f"depth {cfg.depth} needs n divisible by {1 << cfg.depth}, got {spec.n}")
         try:
@@ -721,19 +766,12 @@ def cmd_interpolate(cfg: RunConfig, args) -> int:
             f"interpolation needs at least 3 cells on the level-1 axis; "
             f"D^{spec.n}_{spec.k} has {extent}",
         )
+    cache = locate.CellCache(prob.form, cfg.cap)
     true_line: dict[int, float] = {}
-    # cell extent-1-t holds the complements of cell t: one screen gives both
-    mirror = prob.form.mirror_window is not None
     for t in range(extent):
-        sa = SubAnsatzId(spec, ((t,),))
-        if t in true_line or subansatz_basis_count(sa) > cfg.cap:
-            continue
-        if mirror and 2 * t < extent - 1:
-            (_, true_line[t]), (_, true_line[extent - 1 - t]) = locate.subspace_min(
-                sa, prob.form, cap=cfg.cap, mirror=True
-            )
-        else:
-            _, true_line[t] = locate.subspace_min(sa, prob.form, cap=cfg.cap)
+        bits, energy = cache.minimum(SubAnsatzId(spec, ((t,),)))
+        if bits is not None:
+            true_line[t] = energy
     capped = len(true_line) < extent
     sampled = {t: true_line[t] for t in locate.outer_indices(extent) if t in true_line}
     if len(sampled) < 3:

@@ -48,6 +48,7 @@ from .qsim import BasisState
 
 __all__ = [
     "DEFAULT_CAP",
+    "CellCache",
     "CellsOverCap",
     "EnergyCurve",
     "LocateReport",
@@ -269,16 +270,18 @@ class CellsOverCap(ValueError):
     """Every cell probed on an interpolation axis holds more states than the cap."""
 
 
-class _CellCache:
-    """Memoized exact minima keyed by sub-ansatz id; over-cap cells pin +inf.
+class CellCache:
+    """Memoized exact minima keyed by sub-ansatz id; an over-cap cell is
+    ``(None, inf)``.
 
     Where the form has a ``mirror_window``, one screen gives a cell's minimum
     and its mirror cell's (:func:`subspace_min` with ``mirror``). The mirror's
     waits in ``screened`` and joins ``results`` and ``trail`` only when that
     cell is asked for, so both record the cells asked for, in that order.
-    Location asks only for children of the cell it has reached, so a cell is
-    screened with its mirror only where the two are siblings: every level-1
-    cell, and deeper cells under a cell that is its own mirror.
+    Location asks only for children of the cell it has reached, and
+    ``hwvqe interpolate`` for the level-1 cells, so a cell is screened with
+    its mirror only where the two are siblings: every level-1 cell, and
+    deeper cells under a cell that is its own mirror.
     """
 
     def __init__(self, cost: QuadraticCost, cap: int):
@@ -334,7 +337,7 @@ class _CellCache:
 
 
 def _interpolate_axis(
-    cache: _CellCache,
+    cache: CellCache,
     cell_of: Callable[[int], SubAnsatzId],
     indices: Sequence[int],
 ) -> tuple[int, Optional[EnergyCurve], dict[str, bool]]:
@@ -368,7 +371,7 @@ def _interpolate_axis(
 
 
 def _level_one(
-    cache: _CellCache, spec: DickeSpec
+    cache: CellCache, spec: DickeSpec
 ) -> tuple[int, Optional[EnergyCurve], dict[str, bool]]:
     """Outer minima along the level-1 axis and the argmin of their convex fit."""
     cell_of = lambda i: SubAnsatzId(spec, ((i,),))
@@ -379,7 +382,7 @@ def _report(
     problem,
     spec: DickeSpec,
     predicted: SubAnsatzId,
-    cache: _CellCache,
+    cache: CellCache,
     flags: dict[str, bool],
     curves: list[EnergyCurve],
     refine: bool,
@@ -427,7 +430,7 @@ def locate_soft(
     spec = problem.form.spec
     if spec.n % 2:
         raise ValueError(f"soft location needs an even qubit count, got {spec.n}")
-    cache = _CellCache(problem.form, cap)
+    cache = CellCache(problem.form, cap)
     target, curve, flags = _level_one(cache, spec)
     curves = [] if curve is None else [curve]
     discarded = 0
@@ -439,7 +442,7 @@ def locate_soft(
         else:
             problem, _ = permute(problem, np.arange(problem.n)[::-1])
             discarded = cache.evaluations
-            cache = _CellCache(problem.form, cap)  # energies of the reversed instance
+            cache = CellCache(problem.form, cap)  # energies of the reversed instance
             target, curve, flags = _level_one(cache, spec)
             if curve is not None:
                 curves.append(curve)
@@ -470,7 +473,7 @@ def locate_hard(
         raise ValueError(f"n={spec.n} does not support {p} recursive splits")
     iters = max(1, math.ceil(math.log2(spec.n)))
 
-    cache = _CellCache(problem.form, cap)
+    cache = CellCache(problem.form, cap)
     target, curve, flags = _level_one(cache, spec)
     curves = [] if curve is None else [curve]
     current = SubAnsatzId(spec, ((target,),))

@@ -11,7 +11,7 @@ l there are 2^{l-1} parent fragments; for each, the chosen child is recorded as
 an **ordinal** counted from the fragment's smallest feasible upper weight, so
 ordinal c of fragment (m, w) selects upper weight ``t = max(0, w - m/2) + c``.
 At the top level of a half-weight parent the ordinal equals the upper weight
-itself. Text form: ``sa^1_[18]-sa^2_[2,3]``.
+itself. Text form (:func:`format_id`): ``sa^1_[18]-sa^2_[2,3]``.
 
 Basis-state layout: fragment 0 occupies the *most significant* bits, so the
 top-level index i counts the 1s among the upper half of the bitstring, and the
@@ -21,7 +21,6 @@ largest index corresponds to ``|1...10...0>``.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +29,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import qsim
-from .ansatz import DickeSpec, build_for
+from .ansatz import Circuit, DickeSpec, build_for
 from .qsim import bitstrings_of_weight, hamming_weight
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "loose_bound_closed",
     "bitstrings_of_weight",
     "format_id",
-    "parse_id",
 ]
 
 
@@ -136,25 +134,6 @@ def format_id(sa: SubAnsatzId) -> str:
         for lvl, ordinals in enumerate(sa.levels, start=1)
     ]
     return "-".join(parts)
-
-
-_LEVEL_RE = re.compile(r"^sa\^(\d+)_(?:\[([\d,\s]*)\]|(\d+))$")
-
-
-def parse_id(text: str, parent: DickeSpec) -> SubAnsatzId:
-    """Parse ``sa^1_[18]-sa^2_[2,3]`` (single indices may omit brackets)."""
-    levels: list[tuple[int, ...]] = []
-    for part in text.strip().split("-"):
-        m = _LEVEL_RE.match(part.strip())
-        if not m:
-            raise ValueError(f"cannot parse sub-ansatz level {part!r}")
-        lvl = int(m.group(1))
-        if lvl != len(levels) + 1:
-            raise ValueError(f"levels out of order in {text!r}: expected sa^{len(levels) + 1}, got sa^{lvl}")
-        body = m.group(2) if m.group(2) is not None else m.group(3)
-        ordinals = tuple(int(tok) for tok in body.replace(" ", "").split(",") if tok != "")
-        levels.append(ordinals)
-    return SubAnsatzId(parent, tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -267,11 +246,14 @@ TABLE_BYTES = 4 * 8
 class FragmentPreparer:
     """One sub-ansatz prepared as a product of independently simulated fragments.
 
-    Each fragment's circuit is built once. Fragments of weight 0 or full weight
-    are fixed bit blocks and take no parameters; the others are compiled side
-    by side into one :class:`~hwvqe.qsim.Stack` on first use, so an evaluation
-    simulates them all in one pass. The full-width ansatz is the depth-0 case
-    ``SubAnsatzId(spec, ())``: a single fragment, the spec itself.
+    Fragments of weight 0 or full weight are fixed bit blocks and take no
+    parameters: together they are one ``fixed = (mask, bits)`` pair. Each
+    other fragment is a ``(shift, width, circuit)`` in ``parameterized``, its
+    circuit built once; they are compiled side by side into one
+    :class:`~hwvqe.qsim.Stack` on first use, so an evaluation simulates them
+    all in one pass and takes their parameters as one flat vector, fragment 0
+    first. The full-width ansatz is the depth-0 case ``SubAnsatzId(spec,
+    ())``: a single fragment, the spec itself.
 
     Outcomes are drawn as cell indices, positions in
     ``product_states(fragments)``: each fragment's pick in its ascending
@@ -282,24 +264,26 @@ class FragmentPreparer:
 
     def __init__(self, sa: SubAnsatzId):
         self.fragments = sa.fragments()
-        self.circuits = [None if f.k in (0, f.n) else build_for(f) for f in self.fragments]
-        self.num_params = sum(c.num_params for c in self.circuits if c is not None)
+        self.parameterized: list[tuple[int, int, Circuit]] = []
+        mask = bits = 0
+        shift = sum(f.n for f in self.fragments)
+        for f in self.fragments:
+            shift -= f.n
+            block = ((1 << f.n) - 1) << shift
+            if f.k in (0, f.n):
+                mask |= block
+                bits |= block if f.k else 0
+            else:
+                self.parameterized.append((shift, f.n, build_for(f)))
+        self.fixed = (mask, bits)
+        self.num_params = sum(c.num_params for _, _, c in self.parameterized)
         self.size = subansatz_basis_count(sa)
         self.table: tuple[np.ndarray, np.ndarray] | None = None  # (states, energies)
         self._values: np.ndarray | None = None  # the last draw's stacked amplitudes
 
     @cached_property
     def _stack(self) -> qsim.Stack:
-        return qsim.Stack([c for c in self.circuits if c is not None])
-
-    def split(self, params: Sequence[float]) -> list[np.ndarray]:
-        """Cut a flat parameter vector into per-fragment vectors, fragment 0 first."""
-        out, at = [], 0
-        for c in self.circuits:
-            width = 0 if c is None else c.num_params
-            out.append(np.asarray(params[at : at + width], dtype=np.float64))
-            at += width
-        return out
+        return qsim.Stack([c for _, _, c in self.parameterized])
 
     def tabulate(self, cost: Callable[[np.ndarray], np.ndarray], draws: int) -> bool:
         """Cost the whole cell once, if it holds no more states than ``draws``
@@ -314,31 +298,15 @@ class FragmentPreparer:
         self.table = (states, cost(states))
         return True
 
-    def draw(
-        self, params_per_fragment: Sequence[Sequence[float]], shots: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Simulate the parameterized fragments once and draw ``shots`` outcomes.
+    def draw(self, params: Sequence[float], shots: int, rng: np.random.Generator) -> np.ndarray:
+        """Simulate the parameterized fragments once, from their ``num_params``
+        parameters back to back, and draw ``shots`` outcomes.
 
         Each fragment in turn takes ``shots`` uniforms from ``rng`` and picks
         by :func:`~hwvqe.qsim.inverse_cdf`, as :func:`~hwvqe.qsim.draw` does.
         Returns the cell indices, in draw order. The amplitudes are kept for
         :meth:`probability_of`.
         """
-        if len(params_per_fragment) != len(self.fragments):
-            raise ValueError(
-                f"{len(params_per_fragment)} parameter vectors for {len(self.fragments)} fragments"
-            )
-        params = []
-        for f, circuit, p in zip(self.fragments, self.circuits, params_per_fragment):
-            if circuit is None:
-                if len(p) != 0:
-                    raise ValueError(f"fragment D^{f.n}_{f.k} takes no parameters")
-            elif len(p) != circuit.num_params:
-                raise ValueError(
-                    f"fragment D^{f.n}_{f.k} needs {circuit.num_params} parameters, got {len(p)}"
-                )
-            else:
-                params.append(p)
         self._values = values = self._stack.run(params)
         cells = None
         for lo, hi in self._stack.bounds:
@@ -356,43 +324,32 @@ class FragmentPreparer:
         """The full-width basis states at the given cell indices."""
         if self.table is not None:
             return self.table[0][cells]
-        states = np.zeros(len(cells), dtype=np.int64)
-        shift = 0
-        sectors = reversed(self._stack.states)
-        for f, circuit in zip(reversed(self.fragments), reversed(self.circuits)):
-            if circuit is None:
-                states |= ((1 << f.n) - 1 if f.k == f.n else 0) << shift
-            else:
-                sector = next(sectors)
-                cells, digit = np.divmod(cells, len(sector))
-                states |= sector[digit] << shift
-            shift += f.n
+        states = np.full(len(cells), self.fixed[1], dtype=np.int64)
+        for (shift, _, _), sector in zip(reversed(self.parameterized), reversed(self._stack.states)):
+            cells, digit = np.divmod(cells, len(sector))
+            states |= sector[digit] << shift
         return states
 
     def sample(
-        self, params_per_fragment: Sequence[Sequence[float]], shots: int, rng: np.random.Generator
+        self, params: Sequence[float], shots: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``shots`` product outcomes (:meth:`draw`).
 
         Returns the distinct full-width basis states and their counts, in
         first-draw order (the order of ``Counter(draws)``).
         """
-        cells, counts = self.count(self.draw(params_per_fragment, shots, rng))
+        cells, counts = self.count(self.draw(params, shots, rng))
         return self.states_of(cells), counts
 
     def probability_of(self, bits: int) -> float:
         """Born probability of a full-width basis state in the last drawn product."""
+        mask, fixed = self.fixed
+        if bits & mask != fixed:
+            return 0.0
         prob = 1.0
-        shift = sum(f.n for f in self.fragments)
-        stacked = iter(zip(self._stack.bounds, self._stack.states))
-        for f, circuit in zip(self.fragments, self.circuits):
-            shift -= f.n
-            frag_bits = (bits >> shift) & ((1 << f.n) - 1)
-            if circuit is None:
-                if frag_bits != ((1 << f.n) - 1 if f.k == f.n else 0):
-                    return 0.0
-                continue
-            (lo, _), sector = next(stacked)
+        stack = self._stack
+        for (shift, width, _), (lo, _), sector in zip(self.parameterized, stack.bounds, stack.states):
+            frag_bits = (bits >> shift) & ((1 << width) - 1)
             i = int(np.searchsorted(sector, frag_bits))
             if i == len(sector) or sector[i] != frag_bits:
                 return 0.0
@@ -403,19 +360,20 @@ class FragmentPreparer:
 
 def run_subansatz(
     sa: SubAnsatzId,
-    params_per_fragment: Sequence[Sequence[float]],
+    params: Sequence[float],
     shots: int,
     seed: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> Counter:
     """Sample the product state once: each fragment simulated alone, outcomes concatenated.
 
-    Fragments of weight 0 or full weight contribute fixed bits and expect an
-    empty parameter vector. Returns a Counter over full-width basis states.
+    ``params`` holds the parameterized fragments' parameters back to back,
+    fragment 0 first; fragments of weight 0 or full weight contribute fixed
+    bits and take none. Returns a Counter over full-width basis states.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    states, counts = FragmentPreparer(sa).sample(params_per_fragment, shots, rng)
+    states, counts = FragmentPreparer(sa).sample(params, shots, rng)
     return Counter(dict(zip(states.tolist(), counts.tolist())))
 
 

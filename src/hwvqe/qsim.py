@@ -302,11 +302,6 @@ def _compile(circuit) -> tuple[int, tuple, np.ndarray, Optional[np.ndarray]]:
     return begin, tuple(blocks), states, order
 
 
-def _check_params(circuit, params: Sequence[float]) -> None:
-    if len(params) != len(circuit.blocks):
-        raise ValueError(f"{len(params)} parameters for {len(circuit.blocks)} blocks")
-
-
 # A step merges the blocks of several circuits only while they rotate at most
 # this many pairs together. A merged step saves the numpy calls of one rotation
 # per extra circuit, about 8 us whatever its size, but copies its tables and
@@ -320,7 +315,8 @@ class Stack:
     """Circuits compiled side by side into one amplitude vector.
 
     Circuit ``j`` holds ``bounds[j]`` of the vector: its output states
-    (``states[j]``, ascending) and their amplitudes. Step ``b`` rotates block
+    (``states[j]``, ascending) and their amplitudes. :meth:`run` takes the
+    circuits' ``num_params`` parameters back to back. Step ``b`` rotates block
     ``b`` of every circuit whose block has pairs to rotate. A step over one
     circuit rotates its slice of the vector with scalar angles, so a
     one-circuit stack runs exactly the one-circuit kernel. Where several
@@ -360,6 +356,7 @@ class Stack:
         steps: list[tuple[Optional[slice], np.ndarray, np.ndarray, Union[int, slice]]] = []
         pair_slots: list[np.ndarray] = []
         bases = np.cumsum([0] + [c.num_params for c in self.circuits]).tolist()
+        self.num_params = bases[-1]
         for b in range(max((len(blocks) for _, blocks, _, _ in compiled), default=0)):
             parts = [
                 (slice(lo, hi), i01, i10, slot + base)
@@ -383,17 +380,15 @@ class Stack:
         self._steps = steps
         self._pair_slots = np.concatenate(pair_slots) if pair_slots else None
 
-    def run(self, params: Sequence[Sequence[float]]) -> np.ndarray:
-        """The stacked output amplitudes, for one parameter vector per circuit."""
-        if len(params) != len(self.circuits):
-            raise ValueError(f"{len(params)} parameter vectors for {len(self.circuits)} circuits")
+    def run(self, params: Sequence[float]) -> np.ndarray:
+        """The stacked output amplitudes, for the circuits' parameters back to back."""
+        if len(params) != self.num_params:
+            raise ValueError(f"{len(params)} parameters for {self.num_params} blocks")
         cos, sin = [], []
-        for circuit, p in zip(self.circuits, params):
-            _check_params(circuit, p)
-            for theta in p:
-                c, s = _half_angle(float(theta))
-                cos.append(c)
-                sin.append(s)
+        for theta in params:
+            c, s = _half_angle(float(theta))
+            cos.append(c)
+            sin.append(s)
         if self._pair_slots is not None:
             pair_cos = np.array(cos)[self._pair_slots]
             pair_sin = np.array(sin)[self._pair_slots]
@@ -415,7 +410,7 @@ def _single(circuit) -> Stack:
 def simulate(circuit, params: Sequence[float]) -> StateVector:
     """Run ``circuit`` from |0...0> on its weight sector."""
     stack = _single(circuit)
-    return StateVector(circuit.num_qubits, stack.states[0], stack.run([params]))
+    return StateVector(circuit.num_qubits, stack.states[0], stack.run(params))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +466,8 @@ def apply_circuit(s: StateVector, circuit, params: Sequence[float]) -> StateVect
     """Apply X placements, blocks in order, then any trailing X layer; returns a new state."""
     if circuit.num_qubits != s.num_qubits:
         raise ValueError(f"circuit acts on {circuit.num_qubits} qubits, state has {s.num_qubits}")
-    _check_params(circuit, params)
+    if len(params) != circuit.num_params:
+        raise ValueError(f"{len(params)} parameters for {circuit.num_params} blocks")
     rotations = [(lower, float(params[slot])) for _, lower, slot in circuit.blocks]
     return _apply(s, _mask(circuit.x_placements), rotations, _mask(circuit.post_x))
 

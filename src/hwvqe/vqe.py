@@ -462,9 +462,7 @@ def optimize(
         def objective(logical: np.ndarray) -> float:
             nonlocal epoch, best_bits, best_energy
             params = expand_params(logical, beta, preparer.num_params)
-            cells, multiplicity = preparer.count(
-                preparer.draw(preparer.split(params), cvar_cfg.shots, rng)
-            )
+            cells, multiplicity = preparer.count(preparer.draw(params, cvar_cfg.shots, rng))
             states = preparer.states_of(cells)
             energies = cost(states) if preparer.table is None else preparer.table[1][cells]
             order = np.lexsort((states, energies))

@@ -250,6 +250,65 @@ def test_width_beyond_int64_packing_is_a_config_error(tmp_path, capsys, command)
 
 
 @pytest.mark.parametrize(
+    "command, overrides, key, message",
+    [
+        ("solve", {"cvar": {"alpha_cap": 0.005}}, "alpha_cap",
+         "alpha_start 0.01 exceeds alpha_cap 0.005"),
+        ("solve", {"mode": "hard", "depth": 100000}, "depth",
+         "depth 100000 exceeds 3: its 2^depth fragments would outnumber the 10 qubits"),
+        ("solve", {"problem": {"kind": "synth-portfolio", "n": 10**12, "seed": 4}}, "n",
+         "1000000000000 qubits exceed the 62-qubit limit of int64 bit packing"),
+        ("gen-data", {"problem": {"kind": "synth-portfolio", "n": 2530, "seed": 4}}, "n",
+         "gen-data writes synth-portfolio instances of width at most 2529 (157 bytes per "
+         "covariance entry and 27324 per asset within the 1024 MiB engine cap), got 2530"),
+        ("gen-data", {"problem": {"kind": "synth-graph", "n": 10**12, "p_edge": 0.5, "seed_graph": 1,
+                                  "seed_weights": 2}}, "n",
+         "gen-data writes synth-graph instances of width at most 3564 (169 bytes per node pair"),
+    ],
+    ids=["alpha-cap-below-the-default-start", "depth-past-the-width", "solve-width",
+         "gen-data-portfolio-width", "gen-data-graph-width"],
+)
+def test_values_checked_before_any_work_cite_their_line(tmp_path, capsys, command, overrides, key, message):
+    """A value is checked at its own line before anything is computed from it:
+    alpha_cap against a default alpha_start, a depth whose 2^depth fragments
+    outnumber the qubits, and a generator's width before it generates."""
+    path = _write_config(tmp_path, **overrides)
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    line = next(i for i, text in enumerate(path.read_text().splitlines(), start=1) if f'"{key}"' in text)
+    assert f"error: {path}:{line}: {message}" in capsys.readouterr().err
+
+
+def test_gen_data_holds_at_most_its_bytes_per_instance(tmp_path):
+    """gen-data's traced peak stays within the bytes its width bound counts, on a
+    portfolio and on a graph with every edge, and each bound is the widest width
+    whose count fits the engine cap."""
+    cases = [
+        ({"kind": "synth-portfolio", "n": 400, "seed": 4},
+         lambda n: cli._COV_ENTRY_BYTES * n * n + cli._PRICE_ASSET_BYTES * n),
+        ({"kind": "synth-graph", "n": 400, "p_edge": 1.0, "seed_graph": 1, "seed_weights": 2},
+         lambda n: cli._NODE_PAIR_BYTES * n * n // 2),
+    ]
+    for problem, held in cases:
+        widest = cli._MAX_GEN_WIDTH[problem["kind"]][0]
+        assert held(widest) <= cli.qsim.MAX_ENGINE_BYTES < held(widest + 1)
+
+        def gen_data(n):
+            path = _write_config(tmp_path, problem={**problem, "n": n}, reorder="none")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+        gen_data(8)  # the config loader's and the writers' first-call allocations
+        tracemalloc.start()
+        try:
+            gen_data(problem["n"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= held(problem["n"]), (problem["kind"], peak)
+
+
+@pytest.mark.parametrize(
     "width, budget, theta0_pi, message",
     [
         # theta0 from the ratio curves, which are exact only up to 20 qubits
@@ -1039,6 +1098,13 @@ def _swap_in_instance(work, doc, instance):
 @example(base="portfolio12",
          edits=[("value", ("study", "betas"), [1, 10, 20, 40]), ("value", ("study", "epochs"), 10**6)],
          instance=None, config_garble=None, command="study")
+# alpha_cap below the default alpha_start, a depth past the width, and widths
+# whose instances could never be allocated, checked before anything is computed
+@example(base="portfolio12", edits=[("missing", ("cvar", "alpha_start")), ("value", ("cvar", "alpha_cap"), 0.005)],
+         instance=None, config_garble=None, command="solve")
+@example(base="portfolio12", edits=[("mode", "hard", 100000)], instance=None, config_garble=None, command="solve")
+@example(base="portfolio12", edits=[("width", 10**12)], instance=None, config_garble=None, command="solve")
+@example(base="portfolio12", edits=[("width", 10**12)], instance=None, config_garble=None, command="gen-data")
 def test_fuzzed_inputs_exit_cleanly_with_a_located_message(
     tmp_path, base, edits, instance, config_garble, command
 ):

@@ -21,7 +21,6 @@ from hwvqe.partition import (
     format_id,
     loose_bound_closed,
     loose_bound_product,
-    parse_id,
     product_states,
     run_subansatz,
     subansatz_basis_count,
@@ -108,22 +107,11 @@ def test_loose_bound_small_value_oracle():
     assert loose_bound_product(40, 2) == 20 * 10**2
 
 
-def test_format_and_parse_identifiers_round_trip():
-    spec = DickeSpec(8, 4)
-    sa = SubAnsatzId(spec, ((3,), (1, 0)))
+def test_format_identifiers():
+    sa = SubAnsatzId(DickeSpec(8, 4), ((3,), (1, 0)))
     text = format_id(sa)
     assert text == "sa^1_[3]-sa^2_[1,0]"
-    assert parse_id(text, spec) == sa
-    # single-ordinal levels may omit brackets on input
-    assert parse_id("sa^1_3-sa^2_[1,0]", spec) == sa
     assert str(sa) == text
-
-
-def test_parse_rejects_malformed_identifiers():
-    spec = DickeSpec(8, 4)
-    for bad in ("sa^2_[1]", "sa^1_[9]", "sa_1[2]", "sa^1_[1,2]", ""):
-        with pytest.raises(ValueError):
-            parse_id(bad, spec)
 
 
 def test_subansatz_id_validates_ordinals():
@@ -234,7 +222,7 @@ def test_run_subansatz_marginals_match_born(rng):
     for f in frags:
         circuit = build_for(f)
         params.append(rng.uniform(0.4, 2.7, size=circuit.num_params))
-    counts = run_subansatz(sa, params, shots=40_000, seed=5)
+    counts = run_subansatz(sa, np.concatenate(params), shots=40_000, seed=5)
     assert sum(counts.values()) == 40_000
     # each composed draw concatenates per-fragment draws (fragment 0 high bits)
     exact = {}
@@ -243,6 +231,16 @@ def test_run_subansatz_marginals_match_born(rng):
     for bits, c in counts.items():
         assert bits in exact
         assert abs(c / 40_000 - exact[bits]) < 0.02
+
+
+def _per_fragment(frags, params):
+    """A flat parameter vector cut per fragment, fragment 0 first; fixed fragments take none."""
+    out, at = [], 0
+    for f in frags:
+        width = build_for(f).num_params if 0 < f.k < f.n else 0
+        out.append(params[at : at + width])
+        at += width
+    return out
 
 
 def _product_distribution(frags, params):
@@ -265,10 +263,10 @@ def _product_distribution(frags, params):
 def test_run_subansatz_fixed_fragments_need_no_params(rng):
     spec = DickeSpec(8, 4)
     sa = SubAnsatzId(spec, ((4,),))  # fragments D^4_4 (fixed) and D^4_0 (fixed)
-    counts = run_subansatz(sa, [[], []], shots=50, seed=1)
+    counts = run_subansatz(sa, [], shots=50, seed=1)
     assert counts == {0b11110000: 50}
     with pytest.raises(ValueError):
-        run_subansatz(sa, [[0.3], []], shots=10, seed=1)
+        run_subansatz(sa, [0.3], shots=10, seed=1)
 
 
 @pytest.mark.parametrize("levels", [(), ((2,),)], ids=["soft-one-fragment", "hard-two-fragments"])
@@ -276,18 +274,57 @@ def test_sample_keeps_counter_first_draw_order(rng, levels):
     # cvar's partition and mean see the batch in this order, so it is part of the contract
     sa = SubAnsatzId(DickeSpec(8, 4), levels)
     preparer = FragmentPreparer(sa)
-    params = preparer.split(rng.uniform(0.4, 2.7, size=preparer.num_params))
+    params = rng.uniform(0.4, 2.7, size=preparer.num_params)
     states, counts = preparer.sample(params, 300, np.random.default_rng(17))
 
     stream = np.random.default_rng(17)
     draws = np.zeros(300, dtype=np.int64)
-    for f, p in zip(sa.fragments(), params):
+    for f, p in zip(sa.fragments(), _per_fragment(sa.fragments(), params)):
         psi = simulate(build_for(f), p)
         probs = np.abs(psi.values) ** 2
         draws = (draws << f.n) | psi.states[stream.choice(len(probs), size=300, p=probs / probs.sum())]
     expected = Counter(int(b) for b in draws)
     assert list(zip(states.tolist(), counts.tolist())) == list(expected.items())
     assert states.tolist() != sorted(states.tolist())  # first-draw order, not np.unique's sorted order
+
+
+@pytest.mark.parametrize(
+    "n, k, levels",
+    [
+        (16, 8, ((0,), (0, 0))),  # D^4_0 x D^4_0 x D^4_4 x D^4_4: every fragment fixed
+        (40, 20, ((10,), (9, 0))),  # D^10_10 x D^10_9 x D^10_1 x D^10_0: two fixed
+    ],
+)
+def test_probability_of_is_the_product_of_fragment_probabilities(n, k, levels, rng):
+    sa = SubAnsatzId(DickeSpec(n, k), levels)
+    frags = sa.fragments()
+    preparer = FragmentPreparer(sa)
+    params = rng.uniform(0.4, 2.7, size=preparer.num_params)
+    preparer.draw(params, 64, np.random.default_rng(3))
+    alone = [
+        simulate(build_for(f), p) if 0 < f.k < f.n else None
+        for f, p in zip(frags, _per_fragment(frags, params))
+    ]
+    shifts = [n - sum(f.n for f in frags[: i + 1]) for i in range(len(frags))]
+
+    def product(bits):
+        prob = 1.0
+        for f, psi, shift in zip(frags, alone, shifts):
+            if psi is not None:
+                prob *= probability_of(psi, (bits >> shift) & ((1 << f.n) - 1))
+        return prob
+
+    states = preparer.states_of(np.arange(min(preparer.size, 50))).tolist()
+    for bits in states:
+        assert preparer.probability_of(bits) == pytest.approx(product(bits), rel=1e-12, abs=0.0)
+    if preparer.num_params == 0:
+        assert states == [0b0000000011111111] and preparer.probability_of(states[0]) == 1.0
+    # a state whose fixed bits differ, and one with a parameterized fragment of the wrong weight
+    fixed = next(i for i, f in enumerate(frags) if f.k in (0, f.n))
+    assert preparer.probability_of(states[0] ^ (1 << shifts[fixed])) == 0.0
+    for f, shift in zip(frags, shifts):
+        if 0 < f.k < f.n:
+            assert preparer.probability_of(states[0] ^ (1 << shift)) == 0.0
 
 
 def test_entanglement_entropy_binary_values():

@@ -335,7 +335,7 @@ def test_stack_equals_each_circuit_simulated_alone(n, k, levels, rng):
     circuits = _stacked_fragments(n, k, levels)
     stack = qsim.Stack(circuits)
     params = [rng.uniform(0.0, 2.0 * math.pi, c.num_params) for c in circuits]
-    values = stack.run(params)
+    values = stack.run(np.concatenate(params))
     assert len(values) == stack.size == sum(len(s) for s in stack.states)
     for circuit, p, (lo, hi), states in zip(circuits, params, stack.bounds, stack.states):
         alone = simulate(circuit, p)
@@ -361,10 +361,10 @@ def test_stack_merges_small_steps_only():
 
 def test_stack_refuses_the_wrong_parameter_count():
     stack = qsim.Stack(_stacked_fragments(12, 6, ((2,),)))
-    with pytest.raises(ValueError, match="parameter vectors"):
-        stack.run([np.zeros(stack.circuits[0].num_params)])
-    with pytest.raises(ValueError, match="parameters for"):
-        stack.run([np.zeros(1), np.zeros(stack.circuits[1].num_params)])
+    assert stack.num_params == sum(c.num_params for c in stack.circuits)
+    for wrong in (stack.circuits[0].num_params, stack.num_params + 1):
+        with pytest.raises(ValueError, match="parameters for"):
+            stack.run(np.zeros(wrong))
 
 
 def test_a_lone_circuit_stack_shares_its_compiled_order():
