@@ -237,11 +237,14 @@ class QuadraticCost:
     idempotent: search-width and problem-width states cost the same.
 
     Evaluation reads precomputed tables. The bits split into ``B = ceil(n/8)``
-    byte blocks; block ``a`` has a 256-entry table ``scale * x^T Q_aa x +
-    h_a.x`` of its byte ``x``, and each block pair ``a < b`` a 256 x 256 table
-    ``2 * scale * x^T Q_ab y``. A state's energy is ``c`` plus the diagonal
-    tables plus the cross tables, added in that fixed order, so it is a
-    function of the state alone: the same in every batch, of any size. ``Q``
+    blocks of 8 bits, the last holding what is left; block ``a`` of width
+    ``w_a`` has a ``2**w_a``-entry table ``scale * x^T Q_aa x + h_a.x`` of its
+    byte ``x``, and each block pair ``a < b`` a ``2**w_a x 2**w_b`` table ``2 *
+    scale * x^T Q_ab y``, read at ``x << w_b | y``. A state's energy is ``c``
+    plus the diagonal tables plus the cross tables, added in that fixed order,
+    so it is a function of the state alone: the same in every batch, of any
+    size. A table's sums add each bit after the lower ones, so its entries are
+    bitwise those of a block padded to 8 bits with zero coefficients. ``Q``
     enters the tables as ``(Q + Q^T)/2``, which is ``Q`` bitwise when ``Q`` is
     symmetric.
 
@@ -255,27 +258,58 @@ class QuadraticCost:
     and ``m`` additions across tables; ``h_i`` and ``c`` pass through fewer.
 
     Exact minima over a product ``head << w | tail`` (:meth:`product_min`)
-    screen every state as ``a[head] + b[tail] + x_head^T C x_tail`` with
-    ``C = 2 * scale * Q_sym[head bits, tail bits]``, ``a = E(head << w) -
-    E(0)`` and ``b = E(tail)``: the tables' energies of the two parts (each
-    holding ``c`` and the pinned bits, so ``E(0)`` comes off once) and the
-    cross terms between them. The states whose screen value lies within
-    ``screen_slack = 2 * (e_form + e_screen)`` of the screen's running minimum
-    are costed exactly. Here ``e_form = K u / (1 - K u) * S`` is the bound
-    above and ``e_screen = 3 * g * S`` with ``g = R u / (1 - R u)`` and ``R = K
-    + n + 4``, both over the all-bits ``S``. A contribution reaches the screen
-    through at most ``K + n + 2`` roundings: ``K`` in a table energy, one in
-    ``E(head << w) - E(0)`` and at most ``n + 1`` in the screen's sum over
-    the head bits, ``a`` and ``b``; or two in ``C``, then at most ``n`` in the
-    sums over tail bits and head bits. Those sums may run in any order, so
-    neither BLAS nor the thread count can break the bound. The contributions
-    of ``c`` and the pinned bits enter three times (``a``, ``b`` and ``E(0)``),
-    so all contributions add up to at most ``3 S`` in magnitude; the two spare
-    roundings cover the threshold's own sum. A minimiser ``x*`` then screens
-    within the slack of every state's screen value: ``s(x*) <= E(x*) + e_form
-    + e_screen <= E(x) + e_form + e_screen <= s(x) + 2 * (e_form + e_screen)``.
-    So every exact minimiser is costed, and the smallest ``(energy, bits)``
-    among the costed states is the product's own.
+    screen every state as ``a[head] + b[tail] + sum_{i in head} r_i[tail]``,
+    a sum in float32 of terms computed in float64: ``a = E(head << w) - E(0)``
+    and ``b = E(tail) - E(0)``, the tables' energies of the two parts less
+    that of the empty state, and one row ``r_i = C_i x_tail`` per head bit
+    ``i`` of ``C = 2 * scale * Q_sym[head bits, tail bits]``, the cross terms
+    between the parts. The states whose screen value lies within ``screen_slack + 2 *
+    e32`` of the screen's running minimum are costed exactly, where
+    ``screen_slack = 2 * (e_form + e_screen)``.
+
+    The float64 terms: ``e_form = K u / (1 - K u) * S`` is the bound above,
+    and ``e_screen = 3 * g * S`` with ``g = R u / (1 - R u)`` and ``R = K + n
+    + 4``, both over the all-bits ``S``. Let ``y(x)`` be the exact sum of the
+    float64 terms of state ``x``. A contribution reaches ``y`` through at most
+    ``K + 1`` roundings: ``K`` in a table energy and one in taking ``E(0)``
+    off; or two in ``C``, then at most ``n - 1`` in the sum over tail bits.
+    ``E(0)`` is one computed number that every ``y`` takes off twice, so its
+    own error shifts every ``y`` by the same ``D`` and drops out of every
+    comparison; the differences it is taken from hold no ``c`` and no pinned
+    bit's own terms. Apart from it, ``c`` and the pinned bits enter twice
+    (``E(head << w)`` and ``E(tail)``), so the contributions add up to at
+    most ``2 S`` and ``|y(x) - D - E(x)| <= e_screen``, with room to spare.
+    The spare covers the float64 sum that forms the threshold, as the
+    screen's minimum is at most about ``S`` in magnitude.
+
+    The float32 sum: each term is rounded once to float32, and a block of
+    head rows is one float32 product ``[head bits, 1, a] @ [r; b; 1]``. One
+    factor of every product is 0 or 1, so the products are exact and only the
+    additions round, in whatever order and with whatever fused multiply-adds
+    sgemm takes. A state's ``K32 = (head bits) + 2`` terms ``y_j`` have ``sum
+    |y_j| <= M = max |a| + max |b| + sum_i max |r_i|``, maxima over the
+    product's heads and tails. With ``u32 = 2**-24``, rounding to float32
+    moves ``y_j`` by at most ``u32 |y_j| + 2**-150`` (the second term is
+    underflow; a float32 sum that underflows is exact), and a sum of ``K32``
+    terms ``z_j`` in any order errs by at most ``(K32 - 1) u32 / (1 - (K32 -
+    1) u32) * sum |z_j|``. So the screen value ``s(x)`` lies within ``e32 =
+    g32 * M + K32 * 2**-149`` of ``y(x)``, with ``g32 = (K32 + 1) u32 / (1 -
+    (K32 + 1) u32)``: the one rounding more than the sum needs covers the
+    float64 roundings of ``M``, of ``e32`` and of the widened window. As
+    ``c`` and the pinned bits' own terms are not among the float32 terms, an
+    offset or a pinned bit cannot widen ``e32``. The threshold is the float64
+    sum of the running minimum and the window, rounded up to float32, and the
+    float32 comparison with it is exact. Where ``M`` plus the window reaches
+    ``2**126``, a float32 term, partial sum or threshold could overflow, so
+    the screen stays in float64, with float64's ``u`` and ``2**-1074`` in
+    ``e32``.
+
+    A minimiser ``x*`` of the computed energies ``E^`` then screens within
+    the window of every state's screen value: ``s(x*) - D <= E(x*) + e_screen
+    + e32 <= E^(x*) + e_form + e_screen + e32 <= E^(x) + e_form + e_screen +
+    e32 <= E(x) + 2 * e_form + e_screen + e32 <= s(x) - D + 2 * (e_form +
+    e_screen + e32)``. So every exact minimiser is costed, and the smallest
+    ``(energy, bits)`` among the costed states is the product's own.
 
     The same screen also gives the exact minimum over the product's
     complements (every bit flipped, ``x' = 1 - x``), where the form is
@@ -295,11 +329,13 @@ class QuadraticCost:
     with ``E^`` the computed energy, ``s(x_c) <= E(x_c) + e_screen <= E(y*) +
     delta + e_screen <= E^(y*) + e_form + delta + e_screen <= E^(x') + e_form
     + delta + e_screen <= E(x) + 2 * (delta + e_form) + e_screen <= s(x) + 2
-    * delta + screen_slack``. It covers the product's own minimiser too, as
+    * delta + screen_slack``, with ``s - D`` for ``s``; the float32 sum adds
+    ``e32`` at both ends, so :meth:`product_min` widens the window by ``2 *
+    e32`` as it does the slack. It covers the product's own minimiser too, as
     the window holds the own one. The rounding of computing ``delta`` (two
     in ``F``, about seven in ``g_v * S``, one in their sum) and the window's
     own sum take less than ``16 u * screen_slack`` off the window. That is far
-    below the ``12 u S`` that the two spare roundings in ``e_screen`` add to
+    below the more than ``2 (K + 3 n) u S`` that ``e_screen``'s spare adds to
     ``screen_slack``, less the ``u S`` or so the threshold's own sum takes.
     The complements are screened this way only where ``2 * delta <=
     screen_slack``, so the window stays at most twice the slack. On a
@@ -323,32 +359,33 @@ class QuadraticCost:
         return DickeSpec(self.n - fixed, self.k - fixed)
 
     @cached_property
-    def _tables(self) -> tuple[list[np.ndarray], list[tuple[int, int, np.ndarray]]]:
-        """The diagonal table of each block and the cross table of each pair.
+    def _tables(self) -> tuple[list[np.ndarray], list[tuple[int, int, int, np.ndarray]]]:
+        """The diagonal table of each block, and per pair ``(a, b, width of b,
+        cross table)``; the cross table of ``a < b`` is read at ``byte[a] <<
+        width[b] | byte[b]``.
 
         Built on the first evaluation, once per form: forms made only to read
         the spec or the mask never pay for them.
         """
-        blocks = -(-self.n // 8)
-        Q = np.zeros((8 * blocks, 8 * blocks))
-        Q[: self.n, : self.n] = self._symmetric
-        h = np.zeros(8 * blocks)
-        h[: self.n] = self.h
-        span = [slice(8 * a, 8 * a + 8) for a in range(blocks)]
-
-        def quadratic(a: int, b: int) -> np.ndarray:
-            # [v, w]: x^T Q_ab y for the bits x of byte v and y of byte w
-            return _subset_sums(_subset_sums(Q[span[a], span[b]].T).T)
-
-        diagonal = [
-            self.scale * np.diagonal(quadratic(a, a)) + _subset_sums(h[span[a]])
-            for a in range(blocks)
-        ]
-        cross = [
-            (a, b, ((2.0 * self.scale) * quadratic(a, b)).ravel())
-            for a in range(blocks)
-            for b in range(a + 1, blocks)
-        ]
+        Q, h = self._symmetric, np.asarray(self.h, dtype=np.float64)
+        span = [slice(lo, min(lo + 8, self.n)) for lo in range(0, self.n, 8)]
+        diagonal = []
+        for s in span:
+            # [v, i]: Q_i's sum over the bits of v where v holds bit i, else 0;
+            # the columns added in ascending order give x^T Q_aa x of byte v
+            rows = _subset_sums(Q[s, s].T)
+            rows[(np.arange(len(rows))[:, None] >> np.arange(rows.shape[1])) & 1 == 0] = 0.0
+            quadratic = np.zeros(len(rows))
+            for column in rows.T:
+                quadratic += column
+            diagonal.append(self.scale * quadratic + _subset_sums(h[s]))
+        cross = []
+        for a, r in enumerate(span):
+            for b, s in enumerate(span[a + 1 :], start=a + 1):
+                # [v, w]: x^T Q_ab y for the bits x of byte v and y of byte w
+                quadratic = _subset_sums(_subset_sums(Q[r, s].T).T)
+                quadratic *= 2.0 * self.scale
+                cross.append((a, b, s.stop - s.start, quadratic.ravel()))
         return diagonal, cross
 
     @cached_property
@@ -400,11 +437,11 @@ class QuadraticCost:
         """Exact ``(bits, energy)`` minimum over the states ``head << tail_width |
         tail`` of every head and tail; ties go to the smaller state.
 
-        The head x tail screen (class docstring) runs in blocks of head rows of
-        about ``_EVAL_CHUNK`` entries, so memory holds a block, the two groups
-        and one row per head bit of cross terms against every tail. Energies
-        come from :meth:`__call__` on the states the screen confirms, so they
-        are the ones any batch would give.
+        The head x tail screen (class docstring) sums in float32, in blocks of
+        head rows of about ``_EVAL_CHUNK`` entries, so memory holds a block,
+        the two groups, each head's bits and one row per head bit of cross
+        terms against every tail. Energies come from :meth:`__call__` on the
+        states the screen confirms, so they are the ones any batch would give.
 
         With ``mirror`` every product state must have weight ``k``, and the
         form must have a :attr:`mirror_window`. The one screen then confirms
@@ -420,31 +457,45 @@ class QuadraticCost:
         heads = np.asarray(heads, dtype=np.int64)
         tails = np.asarray(tails, dtype=np.int64)
         zero = self(np.zeros(1, dtype=np.int64))[0]
-        a = self(heads << tail_width) - zero
         head_bits = _set_bits(np.bitwise_or.reduce(heads))
         tail_bits = _set_bits(np.bitwise_or.reduce(tails))
         cross = (2.0 * self.scale) * self._symmetric[np.ix_(head_bits + tail_width, tail_bits)]
-        # one row per head bit, then the tail energies and ones: a screen
-        # block is then one product [head bits, 1, a] @ field
-        field = np.empty((len(head_bits) + 2, len(tails)))
+        # the screen's terms, in float64: one row per head bit, then the tail
+        # energies and ones, against each head's bits, a one and its energy a
+        terms = len(head_bits) + 2
+        field = np.empty((terms, len(tails)))
         field[:-2] = cross @ ((tails >> tail_bits[:, None]) & 1).astype(np.float64)
-        field[-2] = self(tails)
+        field[-2] = self(tails) - zero
         field[-1] = 1.0
+        a = self(heads << tail_width) - zero
+        # M and e32 of the class docstring; float64 where float32 could overflow
+        magnitude = math.fsum(np.abs(field[:-1]).max(axis=1)) + float(np.abs(a).max())
+        dtype = np.float32 if magnitude + window < 2.0**126 else np.float64
+        u = float(np.finfo(dtype).eps) / 2.0
+        g = (terms + 1) * u / (1.0 - (terms + 1) * u)
+        window += 2.0 * (g * magnitude + terms * float(np.finfo(dtype).smallest_subnormal))
+        field = field.astype(dtype)
+        x = np.empty((len(heads), terms), dtype=dtype)
+        x[:, :-2] = (heads[:, None] >> head_bits) & 1
+        x[:, -2] = 1.0
+        x[:, -1] = a
         rows = max(1, _EVAL_CHUNK // len(tails))
-        threshold = math.inf
+        lowest, threshold = math.inf, dtype(math.inf)
         flip = (1 << self.n) - 1
         best = [(math.inf, -1), (math.inf, -1)]  # (energy, bits): product, complements
         for lo in range(0, len(heads), rows):
             part = heads[lo : lo + rows]
-            x = np.empty((len(part), len(head_bits) + 2))
-            x[:, :-2] = (part[:, None] >> head_bits) & 1
-            x[:, -2] = 1.0
-            x[:, -1] = a[lo : lo + rows]
-            screen = x @ field
-            threshold = min(threshold, float(screen.min()) + window)
-            near = np.flatnonzero(screen <= threshold)
-            if not len(near):
+            screen = x[lo : lo + rows] @ field
+            low = float(screen.min())
+            if low < lowest:
+                # the threshold in the screen's precision, rounded up
+                lowest, bound = low, low + window
+                threshold = dtype(bound)
+                if float(threshold) < bound:
+                    threshold = np.nextafter(threshold, dtype(math.inf))
+            elif low > float(threshold):
                 continue
+            near = np.flatnonzero(screen <= threshold)
             row, col = np.divmod(near, len(tails))
             states = (part[row] << tail_width) | tails[col]
             if mirror:
@@ -468,11 +519,11 @@ class QuadraticCost:
         energies = np.full(states.shape, float(self.c))
         for lo in range(0, len(states), _EVAL_CHUNK):
             part, out = states[lo : lo + _EVAL_CHUNK], energies[lo : lo + _EVAL_CHUNK]
-            byte = [(part >> (8 * a)) & 0xFF for a in range(len(diagonal))]
+            byte = [(part >> (8 * a)) & (len(table) - 1) for a, table in enumerate(diagonal)]
             for table, x in zip(diagonal, byte):
                 out += table[x]
-            for a, b, table in cross:
-                out += table[(byte[a] << 8) | byte[b]]
+            for a, b, width, table in cross:
+                out += table[(byte[a] << width) | byte[b]]
         return energies
 
 
@@ -483,14 +534,15 @@ def _set_bits(mask: int) -> np.ndarray:
 
 
 def _subset_sums(rows: np.ndarray) -> np.ndarray:
-    """Entry v, for each byte 0 <= v < 256: the sum of ``rows[i]`` over its set bits i.
+    """Entry v, for each ``0 <= v < 2**len(rows)``: the sum of ``rows[i]`` over its set bits i.
 
     Built by doubling, with elementwise adds only, so the sums round the same
-    on any BLAS and any number of threads.
+    on any BLAS and any number of threads; each bit is added after the lower
+    ones.
     """
-    sums = np.zeros((256,) + rows.shape[1:])
-    for i in range(8):
-        sums[1 << i : 2 << i] = sums[: 1 << i] + rows[i]
+    sums = np.zeros((1 << len(rows),) + rows.shape[1:])
+    for i in range(len(rows)):
+        np.add(sums[: 1 << i], rows[i], out=sums[1 << i : 2 << i])
     return sums
 
 
@@ -660,7 +712,11 @@ def synth_graph(
     offset: float = 0.0,
     fixed_top_bit: bool = False,
 ) -> BisectionProblem:
-    """Bernoulli(p_edge) edges over i<j in row-major order, uniform (0,1) weights."""
+    """Bernoulli(p_edge) edges over i<j in row-major order, uniform (0,1) weights.
+
+    Each stream is drawn a row at a time, in the order of one draw per node
+    pair and one weight per edge.
+    """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if not 0.0 < p_edge <= 1.0:
@@ -668,11 +724,9 @@ def synth_graph(
     rng_edges = np.random.default_rng(seed_graph)
     rng_weights = np.random.default_rng(seed_weights)
     W = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng_edges.random() < p_edge:
-                w = rng_weights.random()
-                W[i, j] = W[j, i] = w
+    for i in range(n - 1):
+        j = i + 1 + np.flatnonzero(rng_edges.random(n - 1 - i) < p_edge)
+        W[i, j] = W[j, i] = rng_weights.random(len(j))
     return BisectionProblem(n=n, weights=W, offset=offset, fixed_top_bit=fixed_top_bit)
 
 

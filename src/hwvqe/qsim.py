@@ -173,20 +173,27 @@ class StateVector:
 def bitstrings_of_weight(m: int, w: int) -> np.ndarray:
     """All m-bit integers of Hamming weight w, ascending (read-only array).
 
-    Built bit by bit from S(j, v) = S(j-1, v) followed by 2^(j-1) | S(j-1, v-1),
+    Up to 16 bits every weight reads the one 16-bit popcount table: a call
+    scans its first 2^m entries with a mask of 2^m bytes (at most 64 KiB).
+    Wider, a whole cube would take 2^m bytes of mask and 8 * 2^m of states
+    (2 GiB at m = 28, where C(28, 14) takes 306 MiB), so the sector is built
+    bit by bit from S(j, v) = S(j-1, v) followed by 2^(j-1) | S(j-1, v-1),
     keeping only the weights v that can still reach w in the remaining bits.
     """
     if not 0 <= w <= m:
         raise ValueError(f"weight {w} outside 0..{m}")
-    empty = np.empty(0, dtype=np.int64)
-    rows = {0: np.zeros(1, dtype=np.int64)}
-    for j in range(1, m + 1):
-        top = np.int64(1) << (j - 1)
-        rows = {
-            v: np.concatenate((rows.get(v, empty), top | rows.get(v - 1, empty)))
-            for v in range(max(0, w - (m - j)), min(w, j) + 1)
-        }
-    out = rows[w]
+    if m <= 16:
+        out = np.flatnonzero(_POPCOUNT16[: 1 << m] == w).astype(np.int64, copy=False)
+    else:
+        empty = np.empty(0, dtype=np.int64)
+        rows = {0: np.zeros(1, dtype=np.int64)}
+        for j in range(1, m + 1):
+            top = np.int64(1) << (j - 1)
+            rows = {
+                v: np.concatenate((rows.get(v, empty), top | rows.get(v - 1, empty)))
+                for v in range(max(0, w - (m - j)), min(w, j) + 1)
+            }
+        out = rows[w]
     out.setflags(write=False)
     return out
 

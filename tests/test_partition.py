@@ -166,6 +166,16 @@ def test_bitstrings_of_weight_equals_combinations():
             assert got.dtype == np.int64 and got.tolist() == expected
 
 
+def test_bitstrings_of_weight_equals_combinations_across_the_popcount_table():
+    """Widths 15-16 scan the 16-bit popcount table and 17 builds bit by bit;
+    every weight of each gives the sorted combinations, read-only int64."""
+    for m in (15, 16, 17):
+        for w in range(m + 1):
+            expected = sorted(sum(1 << q for q in ones) for ones in itertools.combinations(range(m), w))
+            got = bitstrings_of_weight(m, w)
+            assert got.dtype == np.int64 and not got.flags.writeable and got.tolist() == expected
+
+
 def test_enumeration_matches_fragment_product():
     spec = DickeSpec(8, 4)
     sa = SubAnsatzId(spec, ((3,), (1, 0)))

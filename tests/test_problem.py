@@ -332,6 +332,54 @@ def test_energy_is_a_function_of_the_state_alone(family, n, seed, count, cut):
     assert np.array_equal(cost(states[order]), energies[order])
 
 
+def _padded_byte_energies(form, states):
+    """The energies from 8-bit blocks with the last one padded by zero
+    coefficients, each diagonal table read off a full 256 x 256 block table."""
+    blocks = -(-form.n // 8)
+    Q = np.zeros((8 * blocks, 8 * blocks))
+    Q[: form.n, : form.n] = (form.Q + form.Q.T) / 2.0
+    h = np.zeros(8 * blocks)
+    h[: form.n] = form.h
+    span = [slice(8 * a, 8 * a + 8) for a in range(blocks)]
+
+    def subset_sums(rows):
+        sums = np.zeros((256,) + rows.shape[1:])
+        for i in range(8):
+            sums[1 << i : 2 << i] = sums[: 1 << i] + rows[i]
+        return sums
+
+    def quadratic(a, b):
+        return subset_sums(subset_sums(Q[span[a], span[b]].T).T)
+
+    states = np.asarray(states, dtype=np.int64) | form.pinned
+    byte = [(states >> (8 * a)) & 0xFF for a in range(blocks)]
+    energies = np.full(states.shape, float(form.c))
+    for a in range(blocks):
+        energies += (form.scale * np.diagonal(quadratic(a, a)) + subset_sums(h[span[a]]))[byte[a]]
+    for a in range(blocks):
+        for b in range(a + 1, blocks):
+            energies += ((2.0 * form.scale) * quadratic(a, b))[byte[a], byte[b]]
+    return energies
+
+
+@pytest.mark.parametrize("n", [2, 9, 16, 26, 33, 40, 62])
+@pytest.mark.parametrize("pinned", [False, True])
+@pytest.mark.parametrize("integer", [False, True])
+@pytest.mark.parametrize("scale", [0.9, -1.0])
+def test_tables_at_their_widths_cost_bitwise_what_padded_blocks_do(n, pinned, integer, scale):
+    """A narrow last block and diagonals summed on their own give the same
+    energies, bit for bit, as 8-bit blocks padded with zero coefficients."""
+    local = np.random.default_rng(n)
+    Q = local.standard_normal((n, n)) * 10.0 ** local.integers(-3, 4, size=(n, n))
+    h = local.standard_normal(n) * 10.0
+    c = float(local.standard_normal() * 100.0)
+    if integer:
+        Q, h, c = np.round(Q), np.round(h), float(round(c))
+    form = QuadraticCost(n, n // 2, scale, Q, h, c, 1 << (n - 1) if pinned else 0)
+    states = local.integers(0, 1 << n, size=5000, dtype=np.int64)
+    assert np.array_equal(form(states), _padded_byte_energies(form, states))
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     family=st.sampled_from(["portfolio", "bisection", "pinned"]),
@@ -422,6 +470,72 @@ def test_mirror_window_needs_an_unpinned_half_weight_form_and_a_narrow_delta():
         past.product_min(heads, tails, width, mirror=True)
 
 
+def _costed_minimum(form, states):
+    energies = form(states)
+    pos = np.lexsort((states, energies))[0]
+    return int(states[pos]), float(energies[pos])
+
+
+@pytest.mark.parametrize("n", [16, 62])
+@pytest.mark.parametrize("edges", ["unit", "sums", "half"])
+def test_product_min_where_float32_cannot_tell_states_apart(n, edges, monkeypatch):
+    """Edge weights ``base * (1 + 1e-9 * noise)``. Where every equal split
+    cuts the same base weight (``unit``: base 1 on every pair; ``sums``: base
+    ``u_i + u_j``, which cuts ``k * sum(u)``, in float32 terms that round),
+    the cuts tie closer than float32 resolves, yet wider than the float64
+    slack. With and without ``mirror``, and with an offset of 1e6 or a pinned
+    top bit, the screen returns what costing every state does. The offset
+    changes no float32 term, so it confirms no further state: a spy on the
+    costing sees the same batches, which on the half-dense graph hold fewer
+    states than the product."""
+    local = np.random.default_rng(n)
+    u = local.random(n)
+    base = {"unit": np.ones((n, n)), "sums": u[:, None] + u, "half": local.random((n, n)) < 0.5}
+    W = np.triu(base[edges] * (1.0 + 1e-9 * local.random((n, n))), 1)
+    batches = []
+    cost = QuadraticCost.__call__
+
+    def spy(form, states):
+        batches.append(np.array(states))
+        return cost(form, states)
+
+    monkeypatch.setattr(QuadraticCost, "__call__", spy)
+    for pinned in (False, True):
+        seen = {}
+        for offset in (0.0, 1e6):
+            form = BisectionProblem(n, W + W.T, offset, pinned).form
+            heads, tails, width = _random_product(form.spec, n, (1000, 300))
+            states = ((heads[:, None] << width) | tails[None, :]).ravel()
+            want = _costed_minimum(form, states)
+            if edges != "half" and offset == 0.0:
+                energies = cost(form, states)
+                assert form.screen_slack < np.ptp(energies) < np.spacing(np.float32(energies.min()))
+            batches.clear()
+            assert form.product_min(heads, tails, width) == want
+            seen[offset, False] = list(batches)
+            if not pinned:
+                mirrored = _costed_minimum(form, states ^ ((1 << n) - 1))
+                batches.clear()
+                assert form.product_min(heads, tails, width, mirror=True) == (want, mirrored)
+                seen[offset, True] = list(batches)
+        for mirror in (False, True) if not pinned else (False,):
+            plain, shifted = seen[0.0, mirror], seen[1e6, mirror]
+            assert len(plain) == len(shifted) > 3
+            assert all(np.array_equal(x, y) for x, y in zip(plain, shifted))
+            if edges == "half":
+                assert sum(map(len, plain)) < len(states)
+
+
+def test_product_min_screens_in_float64_where_float32_would_overflow():
+    """Cut weights near ``2**125`` put the screen's terms past float32's
+    range; the screen keeps float64 there and still equals costing."""
+    graph = synth_graph(16, 0.5, 3, 4)
+    form = BisectionProblem(16, graph.weights * 2.0**125).form
+    heads, tails, width = _random_product(form.spec, 3, (300, 300))
+    states = ((heads[:, None] << width) | tails[None, :]).ravel()
+    assert form.product_min(heads, tails, width) == _costed_minimum(form, states)
+
+
 def test_synth_assets_deterministic_and_valid():
     a = synth_assets(10, 77)
     b = synth_assets(10, 77)
@@ -451,6 +565,20 @@ def test_synth_graph_shape_and_density():
     edges = np.count_nonzero(np.triu(W, 1))
     assert 30 <= edges <= 85  # Binomial(190, 0.3), generous window
     assert np.array_equal(W, synth_graph(20, 0.3, 5, 6).weights)
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 16, 64, 200])
+@pytest.mark.parametrize("p_edge", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("seeds", [(1, 2), (7, 7), (123, 1000)])
+def test_synth_graph_draws_one_number_per_pair_and_one_weight_per_edge(n, p_edge, seeds):
+    """The row-at-a-time draw gives the weights of a draw per node pair."""
+    rng_edges, rng_weights = (np.random.default_rng(s) for s in seeds)
+    W = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng_edges.random() < p_edge:
+                W[i, j] = W[j, i] = rng_weights.random()
+    assert np.array_equal(synth_graph(n, p_edge, *seeds).weights, W)
 
 
 def test_ingest_csv_happy_path(tmp_path):
