@@ -22,7 +22,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, Sequence
@@ -125,7 +125,7 @@ class RunConfig:
         lineno = _line_of(self.raw_text, path)
         if lineno:
             raise ConfigError(f"{self.source_path}:{lineno}: {message}")
-        if path not in _SECTION_DEFAULTS:
+        if path not in _CONFIG_KEYS or _CONFIG_KEYS[path].default is None:
             path = path[:1]
         note = f"{'.'.join(path)!r} is not in the file; default {self.setting(*path)!r}"
         raise ConfigError(f"{self.source_path}: {message} ({note})")
@@ -135,15 +135,12 @@ class RunConfig:
         if len(path) == 1:
             return getattr(self, path[0])
         section, key = path
-        return getattr(self, section).get(key, _SECTION_DEFAULTS[section, key])
+        return getattr(self, section).get(key, _CONFIG_KEYS[path].default)
 
     def resolved(self) -> dict[str, Any]:
         """The settings a run's artifacts embed: every config key but ``out``."""
         return {name: getattr(self, name) for name in _KNOWN_KEYS if name != "out"}
 
-
-_BOOKKEEPING = ("source_path", "raw_text")  # set by load_config, not by the config
-_KNOWN_KEYS = tuple(f.name for f in fields(RunConfig) if f.name not in _BOOKKEEPING)
 
 # per problem kind: the keys it requires, then the ones it may also take
 _PROBLEM_KEYS = {
@@ -154,26 +151,6 @@ _PROBLEM_KEYS = {
     "graph-file": (("path",), ()),
 }
 _PROBLEM_KINDS = tuple(_PROBLEM_KEYS)
-
-# the keys each of the other sections reads
-_SECTION_KEYS = {
-    "cvar": ("alpha_start", "alpha_cap", "shots"),
-    "schedule": ("counts", "epochs", "rho_pi"),
-    "curves": ("points",),
-    "study": ("alphas", "betas", "seeds", "epochs", "shots"),
-}
-# the default of each section key that may be left out (schedule's come together)
-_SECTION_DEFAULTS = {
-    ("cvar", "alpha_start"): 0.01,
-    ("cvar", "alpha_cap"): 1.0,
-    ("cvar", "shots"): vqe.DEFAULT_SHOTS,
-    ("curves", "points"): 21,
-    ("study", "alphas"): (0.01, 0.05, 0.1, 0.2),
-    ("study", "betas"): (1, 10, 20, 40),
-    ("study", "seeds"): 20,
-    ("study", "epochs"): 80,
-    ("study", "shots"): vqe.DEFAULT_SHOTS,
-}
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -218,6 +195,17 @@ def _is_fraction(value: Any) -> bool:
     return _is_real(value) and 0.0 < value <= 1.0
 
 
+def _is_array_of(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, list) and bool(value) and all(test(v) for v in value)
+
+
+def _over_cap(subject: str, value: int, bound: tuple[int, str]) -> Optional[str]:
+    """The error for a count past ``bound`` (the most it may be, and what that many hold), or None."""
+    most, held = bound
+    cap = f"{held} within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap"
+    return f"{subject} at most {most} ({cap}), got {value}" if value > most else None
+
+
 # One objective evaluation peaks at 65 bytes per shot, in np.unique
 # (FragmentPreparer.count) when most draws are distinct: eight shots-long int64
 # arrays (the drawn cell indices, and np.unique's copy, sort order, sorted copy,
@@ -227,7 +215,6 @@ def _is_fraction(value: Any) -> bool:
 # (98-99% distinct), the excess being the fragments' fixed amplitudes, and 34.0
 # at 2**20 on a tabulated 100-state cell, whose distinct-cell arrays are short.
 _SHOT_BYTES = 8 * 8 + 1
-_MAX_SHOTS = qsim.MAX_ENGINE_BYTES // _SHOT_BYTES
 # An evaluation keeps its TraceRow until trace.csv is written: 249 bytes with its
 # floats and list slot (tracemalloc), and a csv line of at most 116 characters
 # (four floats of 24, an epoch of 7 digits, two counts and seven separators),
@@ -251,7 +238,6 @@ _ROW_BYTES = 32 + (49 + 82 + 8) + 3 * 82
 # and 24 floats (the grid, its copy, and a row of 11 ratios and 11 variances).
 # tracemalloc read 893 bytes per point at n = 12, where this count gives 886.
 _POINT_BYTES = (49 + 19 * 24 + 18 + 8) + 2 * (19 * 24 + 18 + 1) + 24 * 8
-_MAX_POINTS = qsim.MAX_ENGINE_BYTES // _POINT_BYTES
 
 # gen-data holds a generated instance while it writes it. A portfolio peaks at
 # 157 bytes per covariance entry, in save_portfolio's indented json.dumps: the
@@ -285,28 +271,84 @@ _MAX_GEN_WIDTH = {
 }
 
 
-def _is_array_of(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
-    return lambda value: isinstance(value, list) and bool(value) and all(test(v) for v in value)
+@dataclass(frozen=True)
+class _Key:
+    """A config key: its value's test and what that asks for, its default where the file may leave
+    it out (a top-level key's is RunConfig's), and the ``_over_cap`` bound on a count."""
+
+    test: Callable[[Any], bool]
+    what: str
+    default: Any = None
+    most: Optional[tuple[int, str]] = None
+
+    def fault(self, name: str, value: Any) -> Optional[str]:
+        """What is wrong with ``value`` as the key called ``name``, or None."""
+        if not self.test(value):
+            return f"{name} must be {self.what}, got {value!r}"
+        return self.most and _over_cap(f"{name} must be {self.what} of", value, self.most)
+
+
+_SHOTS = _Key(_is_positive_int, "a positive integer", vqe.DEFAULT_SHOTS,
+              (qsim.MAX_ENGINE_BYTES // _SHOT_BYTES, f"{_SHOT_BYTES} bytes per shot"))
+# every key a config may hold but problem.kind, in the order they are checked;
+# each section lists its keys in this order
+_CONFIG_KEYS: dict[tuple[str, ...], _Key] = {
+    **{("problem", key): _Key(_is_int, "an integer")
+       for key in ("n", "seed", "budget", "seed_graph", "seed_weights")},
+    ("problem", "q"): _Key(lambda v: _is_real(v) and v > 0, "a positive number", 0.9),
+    ("problem", "p_edge"): _Key(_is_fraction, "a number in (0, 1]"),
+    ("problem", "offset"): _Key(_is_real, "a number", 0.0),
+    ("problem", "path"): _Key(lambda v: isinstance(v, str), "a path string"),
+    ("problem", "fixed_top_bit"): _Key(lambda v: isinstance(v, bool), "true or false", False),
+    ("mode",): _Key(lambda v: v in ("soft", "hard"), "'soft' or 'hard'"),
+    ("depth",): _Key(_is_int, "an integer"),
+    ("reorder",): _Key(lambda v: v in ("auto", "none", "by-return", "by-variance"),
+                       "'auto', 'none', 'by-return' or 'by-variance'"),
+    ("theta0_pi",): _Key(lambda v: v is None or (_is_real(v) and 0.0 < v < 1.0),
+                         "a number in (0, 1) — it scales pi"),
+    ("cap",): _Key(_is_positive_int, "a positive integer"),
+    # a study writes the seeds seed .. seed + study.seeds - 1, and study.seeds is
+    # at most the cap over _ROW_BYTES: so each keeps to the 20 digits a row counts
+    ("seed",): _Key(lambda v: _is_int(v) and v >= 0, "a non-negative integer",
+                    most=(10**20 - qsim.MAX_ENGINE_BYTES // _ROW_BYTES,
+                          f"study rows of {_ROW_BYTES} bytes with 20-digit seeds")),
+    ("out",): _Key(lambda v: v is None or isinstance(v, str), "a path string"),
+    ("cvar", "alpha_start"): _Key(_is_fraction, "a number in (0, 1]", 0.01),
+    ("cvar", "alpha_cap"): _Key(_is_fraction, "a number in (0, 1]", 1.0),
+    ("cvar", "shots"): _SHOTS,
+    # schedule's keys come together, without defaults
+    ("schedule", "counts"): _Key(_is_array_of(_is_positive_int), "a non-empty array of positive integers"),
+    ("schedule", "epochs"): _Key(_is_array_of(_is_positive_int), "a non-empty array of positive integers"),
+    ("schedule", "rho_pi"): _Key(_is_array_of(lambda v: _is_real(v) and v > 0),
+                                 "a non-empty array of positive numbers"),
+    ("curves", "points"): _Key(_is_positive_int, "a positive integer", 21,
+                               (qsim.MAX_ENGINE_BYTES // _POINT_BYTES, f"{_POINT_BYTES} bytes per point")),
+    ("study", "alphas"): _Key(_is_array_of(_is_fraction), "a non-empty array of numbers in (0, 1]",
+                              (0.01, 0.05, 0.1, 0.2)),
+    ("study", "betas"): _Key(_is_array_of(_is_positive_int), "a non-empty array of positive integers",
+                             (1, 10, 20, 40)),
+    ("study", "seeds"): _Key(_is_positive_int, "a positive integer, a count of consecutive seeds", 20),
+    ("study", "epochs"): _Key(_is_positive_int, "a positive integer", 80,
+                              (_MAX_EVALS, f"{_EVAL_BYTES} bytes per evaluation")),
+    ("study", "shots"): _SHOTS,
+}
+_KNOWN_KEYS = tuple(dict.fromkeys(path[0] for path in _CONFIG_KEYS))  # the top-level keys and sections
 
 
 def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
-    """Check every value's type and range before anything converts it."""
+    """Check each key the file holds against its ``_CONFIG_KEYS`` row, then the
+    rules that span keys, before anything converts a value."""
     for key in doc:
         if key not in _KNOWN_KEYS:
             cfg.fail(key, f"unknown key {key!r}")
-    for section in ("problem", *_SECTION_KEYS):
+    in_sections = [path for path in _CONFIG_KEYS if len(path) == 2]
+    reads = {section: [k for s, k in in_sections if s == section] for section, _ in in_sections}
+    for section, keys in reads.items():
         if not isinstance(getattr(cfg, section), dict):
             cfg.fail(section, f"{section} section must be an object")
-    for section, keys in _SECTION_KEYS.items():
         for key in getattr(cfg, section):
-            if key not in keys:
+            if key not in keys and section != "problem":  # a problem's keys depend on its kind
                 cfg.fail((section, key), f"unknown key {key!r} in {section}; it reads {', '.join(keys)}")
-
-    def expect(path: tuple[str, ...], test: Callable[[Any], bool], what: str) -> None:
-        """Fail at the key unless its value, when present, passes ``test``."""
-        within = doc if len(path) == 1 else getattr(cfg, path[0])
-        if path[-1] in within and not test(within[path[-1]]):
-            cfg.fail(path, f"{' '.join(path)} must be {what}, got {within[path[-1]]!r}")
 
     if "kind" not in cfg.problem:
         cfg.fail("problem", "problem section must be an object with a 'kind'")
@@ -323,83 +365,41 @@ def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
             if (kind, key) == ("portfolio-file", "budget"):
                 why = "; a portfolio file sets its own budget as 'xi'"
             cfg.fail(("problem", key), f"problem kind {kind!r} takes no key {key!r}{why}")
-    for name in ("n", "seed", "budget", "seed_graph", "seed_weights"):
-        expect(("problem", name), _is_int, "an integer")
-    expect(("problem", "q"), lambda v: _is_real(v) and v > 0, "a positive number")
-    expect(("problem", "p_edge"), _is_fraction, "a number in (0, 1]")
-    expect(("problem", "offset"), _is_real, "a number")
-    expect(("problem", "path"), lambda v: isinstance(v, str), "a path string")
-    expect(("problem", "fixed_top_bit"), lambda v: isinstance(v, bool), "true or false")
 
-    if cfg.mode not in ("soft", "hard"):
-        cfg.fail("mode", f"mode {cfg.mode!r} not one of ('soft', 'hard')")
-    expect(("depth",), _is_int, "an integer")
+    for path, row in _CONFIG_KEYS.items():
+        within = doc if len(path) == 1 else getattr(cfg, path[0])
+        if path[-1] in within and (fault := row.fault(" ".join(path), within[path[-1]])):
+            cfg.fail(path, fault)
+
     if cfg.mode == "hard" and cfg.depth < 1:
         cfg.fail("depth", f"hard mode requires depth >= 1, got {cfg.depth}")
-    if cfg.reorder not in ("auto", "none", "by-return", "by-variance"):
-        cfg.fail("reorder", f"reorder {cfg.reorder!r} invalid")
-    expect(("theta0_pi",), lambda v: v is None or (_is_real(v) and 0.0 < v < 1.0),
-           "a number in (0, 1) — it scales pi")
-    expect(("cap",), _is_positive_int, "a positive integer")
-    expect(("seed",), lambda v: _is_int(v) and v >= 0, "a non-negative integer")
-    expect(("out",), lambda v: v is None or isinstance(v, str), "a path string")
-
     sched = cfg.schedule
     if sched:
-        for k in ("counts", "epochs", "rho_pi"):
-            if k not in sched:
-                cfg.fail("schedule", f"schedule requires {k!r}")
-        expect(("schedule", "counts"), _is_array_of(_is_positive_int), "a non-empty array of positive integers")
-        expect(("schedule", "epochs"), _is_array_of(_is_positive_int), "a non-empty array of positive integers")
-        expect(("schedule", "rho_pi"), _is_array_of(lambda v: _is_real(v) and v > 0),
-               "a non-empty array of positive numbers")
-        lens = {k: len(sched[k]) for k in ("counts", "epochs", "rho_pi")}
+        for key in reads["schedule"]:
+            if key not in sched:
+                cfg.fail("schedule", f"schedule requires {key!r}")
+        lens = {key: len(sched[key]) for key in reads["schedule"]}
         if len(set(lens.values())) != 1:
             cfg.fail("schedule", f"schedule arrays differ in length: {lens}")
         if any(b > a for a, b in zip(sched["counts"], sched["counts"][1:])):
             cfg.fail(("schedule", "counts"), f"schedule counts must be non-increasing: {sched['counts']}")
-        if sum(sched["epochs"]) > _MAX_EVALS:
-            cfg.fail(("schedule", "epochs"),
-                     f"schedule epochs must sum to at most {_MAX_EVALS} ({_EVAL_BYTES} bytes per "
-                     f"evaluation within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap), "
-                     f"got {sum(sched['epochs'])}")
-
-    cv = cfg.cvar
-    for k in ("alpha_start", "alpha_cap"):
-        expect(("cvar", k), _is_fraction, "a number in (0, 1]")
+        # each evaluation holds its trace row, under the bound study.epochs has
+        if fault := _over_cap("schedule epochs must sum to", sum(sched["epochs"]),
+                              _CONFIG_KEYS["study", "epochs"].most):
+            cfg.fail(("schedule", "epochs"), fault)
     start, cap = (cfg.setting("cvar", k) for k in ("alpha_start", "alpha_cap"))
     if start > cap:  # at the line of the one the file holds, alpha_start if both
-        cfg.fail(("cvar", "alpha_start" if "alpha_start" in cv else "alpha_cap"),
+        cfg.fail(("cvar", "alpha_start" if "alpha_start" in cfg.cvar else "alpha_cap"),
                  f"alpha_start {start!r} exceeds alpha_cap {cap!r}")
-    for path in (("cvar", "shots"), ("study", "shots")):
-        expect(path, lambda v: _is_positive_int(v) and v <= _MAX_SHOTS,
-               f"a positive integer of at most {_MAX_SHOTS} ({_SHOT_BYTES} bytes per shot "
-               f"within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap)")
-
-    expect(("study", "alphas"), _is_array_of(_is_fraction), "a non-empty array of numbers in (0, 1]")
-    expect(("study", "betas"), _is_array_of(_is_positive_int), "a non-empty array of positive integers")
-    expect(("study", "epochs"), lambda v: _is_positive_int(v) and v <= _MAX_EVALS,
-           f"a positive integer of at most {_MAX_EVALS} ({_EVAL_BYTES} bytes per evaluation "
-           f"within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap)")
-    expect(("study", "seeds"), _is_positive_int, "a positive integer, a count of consecutive seeds")
     # a study holds alphas x betas x epochs rows per seed: one seed's must fit
     # (at the epochs line), then every seed's (at the seeds line)
     cells = math.prod(len(cfg.setting("study", key)) for key in ("alphas", "betas"))
     epochs, seeds = (cfg.setting("study", key) for key in ("epochs", "seeds"))
-    row_cap = f"of {_ROW_BYTES} bytes within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap"
-    max_epochs = qsim.MAX_ENGINE_BYTES // (_ROW_BYTES * cells)
-    if epochs > max_epochs:
-        cfg.fail(("study", "epochs"),
-                 f"study epochs must be at most {max_epochs} with {cells} (alpha, beta) cells "
-                 f"(a study row per cell per epoch {row_cap}), got {epochs}")
-    max_seeds = max_epochs // epochs
-    if seeds > max_seeds:
-        cfg.fail(("study", "seeds"),
-                 f"study seeds must be at most {max_seeds} ({cells * epochs} study rows per "
-                 f"seed {row_cap}), got {seeds}")
-    expect(("curves", "points"), lambda v: _is_positive_int(v) and v <= _MAX_POINTS,
-           f"a positive integer of at most {_MAX_POINTS} ({_POINT_BYTES} bytes per point "
-           f"within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap)")
+    for key, value, rows in (("epochs", epochs, cells), ("seeds", seeds, cells * epochs)):
+        most = qsim.MAX_ENGINE_BYTES // (_ROW_BYTES * rows)
+        held = f"{rows} study rows per {key[:-1]} of {_ROW_BYTES} bytes"
+        if fault := _over_cap(f"study {key} must be", value, (most, held)):
+            cfg.fail(("study", key), fault)
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +424,14 @@ def build_problem(cfg: RunConfig, packed: bool = True):
     kind = spec["kind"]
     if "n" in spec:  # a generator's width, checked before it allocates anything
         _check_width(cfg, spec["n"], packed)
-        widest, held = _MAX_GEN_WIDTH[kind]
-        if not packed and spec["n"] > widest:
-            cfg.fail(("problem", "n"),
-                     f"gen-data writes {kind} instances of width at most {widest} ({held} "
-                     f"within the {qsim.MAX_ENGINE_BYTES >> 20} MiB engine cap), got {spec['n']}")
+        fault = _over_cap(f"gen-data writes {kind} instances of width", spec["n"], _MAX_GEN_WIDTH[kind])
+        if fault and not packed:
+            cfg.fail(("problem", "n"), fault)
     try:
         if kind == "synth-portfolio":
-            prob = synth_assets(int(spec["n"]), int(spec["seed"]), q=float(spec.get("q", 0.9)))
+            prob = synth_assets(int(spec["n"]), int(spec["seed"]), q=float(cfg.setting("problem", "q")))
         elif kind == "csv-portfolio":
-            prob = ingest_csv(spec["path"], q=float(spec.get("q", 0.9)))
+            prob = ingest_csv(spec["path"], q=float(cfg.setting("problem", "q")))
         elif kind == "portfolio-file":
             prob = load_portfolio(spec["path"])
         elif kind == "synth-graph":
@@ -442,8 +440,8 @@ def build_problem(cfg: RunConfig, packed: bool = True):
                 float(spec["p_edge"]),
                 int(spec["seed_graph"]),
                 int(spec["seed_weights"]),
-                offset=float(spec.get("offset", 0.0)),
-                fixed_top_bit=spec.get("fixed_top_bit", False),
+                offset=float(cfg.setting("problem", "offset")),
+                fixed_top_bit=cfg.setting("problem", "fixed_top_bit"),
             )
         else:
             prob = load_graph(spec["path"])
@@ -824,10 +822,11 @@ def cmd_study(cfg: RunConfig, args) -> int:
     )
     # one (alpha, beta) cell per call
     alpha_args, beta_args = zip(*[((a,), (b,)) for a in alphas for b in betas])
-    if args.jobs > 1:
+    workers = min(args.jobs, len(alpha_args))  # a pool forks all its workers at its first task
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only study needs it; keeps import light
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             tables = list(pool.map(study, alpha_args, beta_args))
     else:
         tables = list(map(study, alpha_args, beta_args))
@@ -933,8 +932,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    if args.seed is not None and args.seed < 0:
-        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+    if args.seed is not None and (fault := _CONFIG_KEYS["seed",].fault("--seed", args.seed)):
+        print(f"error: {fault}", file=sys.stderr)
         return 1
     if getattr(args, "jobs", 1) < 1:
         print(f"error: --jobs must be a positive integer, got {args.jobs}", file=sys.stderr)

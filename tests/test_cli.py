@@ -1,5 +1,6 @@
 """Command-line harness: config validation, artifacts, determinism, exit codes."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -231,6 +232,33 @@ def test_key_error_cites_the_line_of_its_own_key_path(tmp_path, capsys, last_lin
     assert rc == 1
     err = capsys.readouterr().err
     assert f"{path}:5: {key} must be" in err
+
+
+def test_readme_states_the_bounds_the_code_enforces():
+    """Each figure README gives for a config bound is the one cli computes."""
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+    cap, keys = cli.qsim.MAX_ENGINE_BYTES, cli._CONFIG_KEYS
+    grid = len(keys["study", "alphas"].default) * len(keys["study", "betas"].default)
+    epochs = keys["study", "epochs"].default
+    phrases = [
+        f"`study.shots` may be at most {keys['cvar', 'shots'].most[0]:,}: one objective evaluation "
+        f"holds {cli._SHOT_BYTES} bytes per shot",
+        f"`schedule.epochs` may sum to at most {cli._MAX_EVALS:,}, and `study.epochs` may be at most "
+        f"that: an evaluation holds {cli._EVAL_BYTES} bytes",
+        f"A study holds {cli._ROW_BYTES} bytes per study row",
+        f"({cap // (cli._ROW_BYTES * grid):,} with the default 4 × 4 grid)",
+        f"({cap // (cli._ROW_BYTES * grid * epochs):,} with the default grid and {epochs} epochs)",
+        f"`seed` may be at most {keys['seed',].most[0]:,}",
+        f"at most {cap // cli._ROW_BYTES:,} of them, and a study row counts 20 digits for its seed",
+        f"`curves.points` may be at most {keys['curves', 'points'].most[0]:,}: writing `curves.csv` "
+        f"holds up to {cli._POINT_BYTES:,} bytes per grid point",
+        f"`synth-portfolio` of at most {cli._MAX_GEN_WIDTH['synth-portfolio'][0]:,} assets and a "
+        f"`synth-graph` of at most {cli._MAX_GEN_WIDTH['synth-graph'][0]:,} nodes: writing one holds "
+        f"{cli._COV_ENTRY_BYTES} bytes per covariance entry plus {cli._PRICE_ASSET_BYTES:,} per asset "
+        f"(its prices), or {cli._NODE_PAIR_BYTES} bytes per node pair",
+        f"one message shape, such as `{keys['cvar', 'shots'].fault('cvar shots', 20_000_000)}`",
+    ]
+    assert [phrase for phrase in phrases if phrase not in readme] == []
 
 
 @pytest.mark.parametrize("command", ["solve", "curves", "interpolate", "study", "bruteforce"])
@@ -494,6 +522,28 @@ def test_negative_seed_override_names_the_flag(capsys):
     rc = main(["solve", "--config", "portfolio12", "--seed", "-1"])
     assert rc == 1
     assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+def test_seed_keeps_every_study_seed_within_twenty_digits(tmp_path, capsys):
+    """A study writes the seeds seed .. seed + study.seeds - 1, and a study row
+    counts 20 digits for its seed: the largest seed keeps the last seed of the
+    longest study within them, in a file at its line and as --seed alike."""
+    most_seeds = cli.qsim.MAX_ENGINE_BYTES // cli._ROW_BYTES  # a study of one cell and one epoch
+    study = {"alphas": [0.1], "betas": [1], "epochs": 1, "seeds": most_seeds}
+    with pytest.raises(ConfigError, match="study seeds must be at most"):
+        load_config(_write_config(tmp_path, study={**study, "seeds": most_seeds + 1}))
+    limit = 10**20 - most_seeds
+    assert len(str(limit + most_seeds - 1)) == 20
+    load_config(_write_config(tmp_path, seed=limit, study=study))
+
+    path = _write_config(tmp_path, seed=limit + 1, study=study)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    line = path.read_text().splitlines().index(f'  "seed": {limit + 1},') + 1
+    prefix = f"{path}:{line}: seed must be a non-negative integer of at most {limit} ("
+    assert str(err.value).startswith(prefix)
+    assert main(["solve", "--config", "portfolio12", "--seed", str(limit + 1)]) == 1
+    assert capsys.readouterr().err == f"error: --{str(err.value).removeprefix(f'{path}:{line}: ')}\n"
 
 
 def test_zero_jobs_names_the_flag(capsys):
@@ -892,6 +942,38 @@ def test_study_serial_and_parallel_agree(tmp_path):
     summary = (tmp_path / "s1" / "study_summary.csv").read_text().splitlines()
     assert summary[2] == "alpha,beta,plateau_median,epochs_to_plateau_median"
     assert len(summary) == 3 + 2
+
+
+def test_study_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    """A process pool starts all its workers at once, so --jobs past the number
+    of (alpha, beta) cells starts one per cell, and one cell runs in-process."""
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    for betas, pools in (([1], []), ([1, 2, 3], [3])):
+        started.clear()
+        cfg = _write_config(
+            tmp_path,
+            problem={"kind": "synth-portfolio", "n": 8, "seed": 5, "budget": 4},
+            theta0_pi=0.8,
+            study={"alphas": [0.2], "betas": betas, "seeds": 1, "epochs": 2, "shots": 32},
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["study", "--config", str(cfg), "--jobs", "64", "--out", str(tmp_path / "s")]) == 0
+        assert started == pools
 
 
 # ---------------------------------------------------------------------------

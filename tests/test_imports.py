@@ -1,10 +1,12 @@
-"""Source hygiene: every imported name in the package and the tests is used."""
+"""Source hygiene: every imported name in the package and the tests is used,
+and every private name the package binds at module level is read somewhere."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "hwvqe").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "hwvqe").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -42,3 +44,52 @@ def test_no_unused_imports():
         for line, name in _unused_imports(ast.parse(path.read_text()))
     ]
     assert unused == []
+
+
+def _private_names(tree: ast.Module) -> dict[str, int]:
+    """Line of each ``_``-prefixed name (dunders aside) a module binds at its top level."""
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound.setdefault(name, node.lineno)
+    return bound
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads: by itself, as an attribute, or in an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def test_scan_finds_an_unread_private_name():
+    tree = ast.parse("_A = 1\n_B, _C = 2, 3\n__all__ = []\ndef _f():\n    return _B\n"
+                     "class _K:\n    _inner = 4\nprint(_K)\n")
+    unread = {name: line for name, line in _private_names(tree).items() if name not in _read_names(tree)}
+    assert unread == {"_A": 1, "_C": 2, "_f": 4}
+
+
+def test_no_unread_private_names():
+    assert len(PACKAGE) > 5
+    read = set().union(*(_read_names(ast.parse(path.read_text())) for path in SOURCES))
+    unread = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in PACKAGE
+        for name, line in _private_names(ast.parse(path.read_text())).items()
+        if name not in read
+    ]
+    assert unread == []
