@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import BasisState, hamming_weight
+from .qsim import BasisLike, hamming_weight
 
 __all__ = [
     "DickeSpec",
@@ -136,7 +136,7 @@ def build_for(spec: DickeSpec) -> Circuit:
     return build_folded(spec) if 2 * spec.k <= spec.n else conjugate_form(spec)
 
 
-def reachability_params(spec: DickeSpec, target: int | BasisState) -> ParameterVector:
+def reachability_params(spec: DickeSpec, target: BasisLike) -> ParameterVector:
     """Parameters in {0, pi} that prepare basis state ``target`` with probability 1.
 
     At theta=0 a block is the identity on basis states; at theta=pi it swaps the
@@ -145,7 +145,7 @@ def reachability_params(spec: DickeSpec, target: int | BasisState) -> ParameterV
     qubits onto the target. Zero is preferred at every slot, so the returned
     vector is the lexicographically smallest one that works.
     """
-    bits = target.bits if isinstance(target, BasisState) else int(target)
+    bits = int(target)
     if hamming_weight(bits) != spec.k:
         raise ValueError(f"target weight {hamming_weight(bits)} != k={spec.k}")
     if spec.k == 0 or spec.k == spec.n:

@@ -22,7 +22,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, Sequence
@@ -578,10 +578,10 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     notes: list[str] = []
 
     report = None
-    target_id: Optional[SubAnsatzId] = None
     theta0 = None if cfg.theta0_pi is None else float(cfg.theta0_pi) * math.pi
 
     if cfg.mode == "soft":
+        target = SubAnsatzId(spec, ())  # soft mode prepares the whole search space
         _check_full_width(cfg, spec, curves=theta0 is None and spec.n % 2 == 0)
         if spec.n % 2:
             if theta0 is None:
@@ -598,8 +598,6 @@ def cmd_solve(cfg: RunConfig, args) -> int:
             except locate.CellsOverCap as exc:
                 cfg.fail("cap", f"{exc}; raise 'cap'")
             prob = report.problem
-            if theta0 is None:
-                theta0 = _theta0_near(spec, report.predicted.levels[0][0], notes)
     else:
         if cfg.depth >= spec.n.bit_length():  # 2^depth > n, without computing 2^depth
             cfg.fail("depth", f"depth {cfg.depth} exceeds {spec.n.bit_length() - 1}: its 2^depth "
@@ -614,61 +612,54 @@ def cmd_solve(cfg: RunConfig, args) -> int:
                 f"raise 'cap' (depth {cfg.depth + 1} needs n divisible by {finer}, got {spec.n})"
             )
             cfg.fail("cap", f"{exc}; {hint}")
-        target_id = report.predicted
-        if theta0 is None:
-            theta0 = _theta0_near(spec, target_id.levels[0][0], notes)
+        target = report.predicted  # hard mode prepares only the located cell
+    if theta0 is None:  # an odd soft search space has failed above
+        theta0 = _theta0_near(spec, report.predicted.levels[0][0], notes)
 
     if report is not None:
         flags.update(report.flags)
         _write_json(out / "locate.json", report.to_json_dict(), cfg)
 
     if cfg.mode == "hard":
-        for frag in target_id.fragments():
+        for frag in target.fragments():
             _check_engine_memory(cfg, "depth", frag, "; raise depth")
-    prepared = target_id if cfg.mode == "hard" else SubAnsatzId(spec, ())
-    slots = FragmentPreparer(prepared).num_params
-    if slots == 0:
-        notes.append("located cell is a single basis state; optimization skipped")
-    schedule = _schedule_from(cfg, max(slots, 1))
-    cvar_cfg = _cvar_from(cfg, len(schedule))
-
-    if slots == 0:
-        if report is None:  # location skipped: the one-state search space is the answer
-            best_bits = int(product_states(prepared.fragments())[0])
-        elif report.candidate_bits is None:
-            cfg.fail("cap", f"every probed cell exceeded cap {cfg.cap}; raise 'cap'")
-        else:
-            best_bits = report.candidate_bits
-        best_energy = None
-        rows: list[vqe.TraceRow] = []
-    else:
+    slots = FragmentPreparer(target).num_params
+    best_energy, rows = None, []
+    if slots:
+        schedule = _schedule_from(cfg, slots)
         best, best_energy, rows = vqe.optimize(
             prob,
             mode=cfg.mode,
-            target=target_id,
+            target=target,
             theta0=theta0,
-            cvar_cfg=cvar_cfg,
+            cvar_cfg=_cvar_from(cfg, len(schedule)),
             schedule=schedule,
             seed=cfg.seed,
         )
         best_bits = best.bits
+    else:
+        notes.append("located cell is a single basis state; optimization skipped")
+        if report is None:  # location skipped: the one-state search space is the answer
+            best_bits = int(product_states(target.fragments())[0])
+        elif report.candidate_bits is None:
+            cfg.fail("cap", f"every probed cell exceeded cap {cfg.cap}; raise 'cap'")
+        else:
+            best_bits = report.candidate_bits
 
     cost = batch_evaluator(prob)
     refined, refined_energy, trace = locate.greedy_bitstring(
         cost, BasisState(best_bits, spec.n), restarts=2, seed=cfg.seed
     )
-    if (
-        report is not None
-        and report.candidate_bits is not None
-        and report.candidate_energy < refined_energy
-    ):
+    # the location candidate (energy inf if none) wins only when strictly
+    # lower: on a tie the refined optimizer state stands, even if larger
+    if report is not None and report.candidate_energy < refined_energy:
         refined = BasisState(report.candidate_bits, spec.n)
         refined_energy = report.candidate_energy
         notes.append("location candidate beat the optimizer; kept the candidate")
 
     solution_bits = lift_bits(prob, refined.bits)
-    if cfg.mode == "hard" and report is not None and report.predicted is not None:
-        flags["possible_misestimation"] = not in_subansatz(refined.bits, report.predicted)
+    if cfg.mode == "hard":
+        flags["possible_misestimation"] = not in_subansatz(refined.bits, target)
 
     _write_text(out / "trace.csv", _header_lines(cfg) + vqe.trace_to_csv(rows))
     _write_json(
@@ -677,7 +668,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
             "problem": _problem_summary(prob),
             "search_spec": {"n": spec.n, "k": spec.k},
             "theta0_pi": theta0 / math.pi,
-            "predicted": format_id(report.predicted) if report and report.predicted else None,
+            "predicted": format_id(report.predicted) if report else None,
             "solution": {
                 "bits": format(solution_bits, f"0{prob.n}b"),
                 "energy": refined_energy,
@@ -702,21 +693,10 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
 
 def _problem_summary(prob) -> dict[str, Any]:
-    if isinstance(prob, PortfolioProblem):
-        return {
-            "type": "portfolio",
-            "n": prob.n,
-            "q": prob.q,
-            "budget": prob.budget,
-            "permutation": list(prob.permutation),
-        }
-    return {
-        "type": "bisection",
-        "n": prob.n,
-        "offset": prob.offset,
-        "fixed_top_bit": prob.fixed_top_bit,
-        "permutation": list(prob.permutation),
-    }
+    """The instance's type and its fields but the arrays, for the artifacts."""
+    values = {f.name: getattr(prob, f.name) for f in fields(prob)}
+    kind = "portfolio" if isinstance(prob, PortfolioProblem) else "bisection"
+    return {"type": kind, **{k: v for k, v in values.items() if not isinstance(v, np.ndarray)}}
 
 
 def cmd_curves(cfg: RunConfig, args) -> int:

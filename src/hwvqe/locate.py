@@ -42,6 +42,7 @@ from .problem import (
     BisectionProblem,
     QuadraticCost,
     batch_evaluator,
+    min_state,
     permute,
 )
 from .qsim import BasisState
@@ -324,16 +325,9 @@ class CellCache:
         return len(self.trail)
 
     def best(self) -> tuple[Optional[int], float]:
-        best_bits: Optional[int] = None
-        best_energy = math.inf
-        for bits, energy in self.results.values():
-            if bits is None:
-                continue
-            if energy < best_energy or (
-                energy == best_energy and best_bits is not None and bits < best_bits
-            ):
-                best_bits, best_energy = bits, energy
-        return best_bits, best_energy
+        energy, bits = min(((e, b) for b, e in self.results.values() if b is not None),
+                           default=(math.inf, None))
+        return bits, energy
 
 
 def _interpolate_axis(
@@ -600,12 +594,10 @@ def greedy_bitstring(
             cand = neighbors(bits)
             if len(cand) == 0:
                 return path
-            energies = cost(cand)
-            order = np.lexsort((cand, energies))  # energy first, then smaller bits
-            best = order[0]
-            if energies[best] >= energy:
+            low = min_state(cand, cost(cand))
+            if low[0] >= energy:
                 return path
-            bits, energy = int(cand[best]), float(energies[best])
+            energy, bits = low
             path.append((bits, energy))
 
     def perturb(bits: int) -> int:
@@ -623,10 +615,7 @@ def greedy_bitstring(
     best_path = descend(start.bits)
     for _ in range(max(0, restarts)):
         path = descend(perturb(start.bits))
-        end_bits, end_energy = path[-1]
-        cur_bits, cur_energy = best_path[-1]
-        if end_energy < cur_energy or (end_energy == cur_energy and end_bits < cur_bits):
-            best_path = path
+        best_path = min(best_path, path, key=lambda p: (p[-1][1], p[-1][0]))
 
     final_bits, final_energy = best_path[-1]
     return BasisState(final_bits, n), final_energy, best_path

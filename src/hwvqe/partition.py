@@ -20,6 +20,7 @@ largest index corresponds to ``|1...10...0>``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -156,19 +157,7 @@ class PartitionTree:
             if remaining == 0:
                 yield sa
                 return
-            frags = sa.fragments()
-            counts = [child_count(f) for f in frags]
-
-            def combos(pos: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-                if pos == len(counts):
-                    yield tuple(acc)
-                    return
-                for c in range(counts[pos]):
-                    acc.append(c)
-                    yield from combos(pos + 1, acc)
-                    acc.pop()
-
-            for ordinals in combos(0, []):
+            for ordinals in itertools.product(*(range(child_count(f)) for f in sa.fragments())):
                 yield from grow(sa.child(ordinals), remaining - 1)
 
         yield from grow(SubAnsatzId(self.root, ()), self.depth)

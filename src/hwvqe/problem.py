@@ -35,7 +35,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .ansatz import DickeSpec
-from .qsim import BasisState, hamming_weight
+from .qsim import BasisLike, hamming_weight
 
 __all__ = [
     "PortfolioProblem",
@@ -58,13 +58,18 @@ __all__ = [
     "load_graph",
     "batch_evaluator",
     "lift_bits",
+    "min_state",
 ]
 
-BasisLike = Union[int, BasisState]
 
+def min_state(states: np.ndarray, energies: np.ndarray) -> tuple[float, int]:
+    """``(energy, bits)`` of a batch's lowest energy, ties to the smaller state.
 
-def _as_bits(x: BasisLike) -> int:
-    return x.bits if isinstance(x, BasisState) else int(x)
+    Every minimum in the package keeps this order, so a running best folds
+    in a batch as ``min(best, min_state(states, energies))``.
+    """
+    pos = np.lexsort((states, energies))[0]
+    return float(energies[pos]), int(states[pos])
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +141,7 @@ class IsingModel:
 
 def cost_binary(p: PortfolioProblem, x: BasisLike) -> float:
     """``q x^T A x - mu^T x`` of one bitstring of the budget's weight."""
-    bits = _as_bits(x)
+    bits = int(x)
     if hamming_weight(bits) != p.budget:
         raise ValueError(
             f"bitstring {bits:0{p.n}b} has weight {hamming_weight(bits)}, budget is {p.budget}"
@@ -202,7 +207,7 @@ class BisectionProblem:
 
 def cost_bisection(b: BisectionProblem, x: BasisLike) -> float:
     """Cut weight of the split indicated by x, plus the offset."""
-    bits = _as_bits(x)
+    bits = int(x)
     if hamming_weight(bits) != b.n // 2:
         raise ValueError(
             f"bitstring {bits:0{b.n}b} has weight {hamming_weight(bits)}, bisection needs {b.n // 2}"
@@ -502,11 +507,8 @@ class QuadraticCost:
                 states = np.concatenate([states, states ^ flip])
             energies = self(states)
             for side in range(1 + mirror):
-                part_states = states[side * len(near) : (side + 1) * len(near)]
-                part_energies = energies[side * len(near) : (side + 1) * len(near)]
-                pos = int(np.lexsort((part_states, part_energies))[0])
-                if (part_energies[pos], part_states[pos]) < best[side]:
-                    best[side] = (float(part_energies[pos]), int(part_states[pos]))
+                half = slice(side * len(near), (side + 1) * len(near))
+                best[side] = min(best[side], min_state(states[half], energies[half]))
         if mirror:
             return tuple((bits, energy) for energy, bits in best)
         return best[0][1], best[0][0]

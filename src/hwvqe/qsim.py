@@ -122,10 +122,6 @@ class BasisState:
         return self.to_string()
 
 
-def _bits_of(b: BasisLike) -> int:
-    return b.bits if isinstance(b, BasisState) else int(b)
-
-
 def _check_n(n: int) -> None:
     if not 1 <= n <= MAX_PACKED_QUBITS:
         raise ValueError(f"qubit count {n} outside supported range 1..{MAX_PACKED_QUBITS}")
@@ -428,7 +424,7 @@ def simulate(circuit, params: Sequence[float]) -> StateVector:
 def init_basis(n: int, b: BasisLike) -> StateVector:
     """State with amplitude 1 on basis state ``b``."""
     _check_n(n)
-    bits = _bits_of(b)
+    bits = int(b)
     if not 0 <= bits < (1 << n):
         raise ValueError(f"basis state {bits} out of range for {n} qubits")
     return StateVector(n, np.array([bits], dtype=np.int64), np.ones(1))
@@ -485,7 +481,7 @@ def apply_circuit(s: StateVector, circuit, params: Sequence[float]) -> StateVect
 
 
 def probability_of(s: StateVector, b: BasisLike) -> float:
-    i = s.index_of(_bits_of(b))
+    i = s.index_of(int(b))
     if i is None:
         return 0.0
     a = s.values[i]

@@ -28,7 +28,7 @@ from . import qsim
 from .ansatz import DickeSpec, build_for
 from .locate import subspace_min
 from .partition import FragmentPreparer, SubAnsatzId, child_count, child_weight
-from .problem import batch_evaluator
+from .problem import batch_evaluator, min_state
 from .qsim import hamming_weight_array
 
 __all__ = [
@@ -450,8 +450,7 @@ def optimize(
 
     physical = np.full(preparer.num_params, float(theta0))
     rows: list[TraceRow] = []
-    best_bits: Optional[int] = None
-    best_energy = math.inf
+    best: tuple[float, Optional[int]] = (math.inf, None)  # (energy, bits) of the best sample
     epoch = 0
 
     for stage in range(len(schedule)):
@@ -460,19 +459,12 @@ def optimize(
         stage_end = epoch + schedule.epochs[stage]
 
         def objective(logical: np.ndarray) -> float:
-            nonlocal epoch, best_bits, best_energy
+            nonlocal epoch, best
             params = expand_params(logical, beta, preparer.num_params)
             cells, multiplicity = preparer.count(preparer.draw(params, cvar_cfg.shots, rng))
             states = preparer.states_of(cells)
             energies = cost(states) if preparer.table is None else preparer.table[1][cells]
-            order = np.lexsort((states, energies))
-            low = order[0]
-            if energies[low] < best_energy or (
-                energies[low] == best_energy
-                and best_bits is not None
-                and int(states[low]) < best_bits
-            ):
-                best_bits, best_energy = int(states[low]), float(energies[low])
+            best = min(best, min_state(states, energies))
             expectation = float(cvar(np.repeat(energies, multiplicity), alpha))
             epoch += 1
             gs_prob = None if gs_bits is None else preparer.probability_of(gs_bits)
@@ -484,7 +476,7 @@ def optimize(
                     beta=beta,
                     expectation=expectation,
                     ground_state_probability=gs_prob,
-                    best_energy=float(best_energy),
+                    best_energy=best[0],
                 )
             )
             return expectation
@@ -502,6 +494,7 @@ def optimize(
             x, rho = best_x, rho_end
         physical = expand_params(best_x, beta, preparer.num_params)
 
+    best_energy, best_bits = best
     if best_bits is None:
         raise RuntimeError("optimization produced no samples")
     return qsim.BasisState(best_bits, spec.n), best_energy, rows

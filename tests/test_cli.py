@@ -21,10 +21,12 @@ from hwvqe.ansatz import DickeSpec, circuit_from_text
 from hwvqe.cli import ConfigError, load_config, main
 from hwvqe.partition import SubAnsatzId
 from hwvqe.problem import (
+    BisectionProblem,
     PortfolioProblem,
     ingest_csv,
     load_graph,
     load_portfolio,
+    save_graph,
     save_portfolio,
     synth_assets,
     synth_graph,
@@ -748,6 +750,27 @@ def test_solve_takes_the_only_state_of_a_one_state_search_space(tmp_path):
     sol = json.loads((tmp_path / "g" / "solution.json").read_text())
     assert sol["solution"]["bits"] == "10"
     assert sol["flags"]["locate_skipped"]
+
+
+def test_solve_keeps_the_refined_state_when_the_candidate_only_ties_it(tmp_path):
+    # a graph without edges costs every split the offset: location's candidate
+    # (the smallest state of the cells it probed) ties the refined optimizer
+    # state, which stands although it is the larger of the two
+    save_graph(BisectionProblem(n=8, weights=np.zeros((8, 8)), offset=1.5), tmp_path / "g.txt")
+    cfg = _write_config(
+        tmp_path,
+        problem={"kind": "graph-file", "path": str(tmp_path / "g.txt")},
+        reorder="none",
+        cvar={"alpha_start": 0.05, "alpha_cap": 1.0, "shots": 64},
+        schedule={"counts": [1], "epochs": [10], "rho_pi": [0.1]},
+        seed=2,
+    )
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    sol = json.loads((tmp_path / "t" / "solution.json").read_text())
+    candidate = json.loads((tmp_path / "t" / "locate.json").read_text())["candidate"]
+    assert candidate["energy"] == sol["solution"]["energy"] == sol["optimizer"]["best_sampled_energy"] == 1.5
+    assert int(sol["solution"]["bits"], 2) > int(candidate["bits"], 2)
+    assert sol["notes"] == []  # no "location candidate beat the optimizer"
 
 
 def test_dump_circuit_round_trips(tmp_path):

@@ -380,6 +380,36 @@ def test_greedy_bitstring_started_at_the_optimum_takes_no_step():
     assert final.bits == bits and final_energy == energy
 
 
+def _flat_bisection(n=8, offset=1.5):
+    """A graph without edges: every split costs the offset, so every minimum is a tie."""
+    return BisectionProblem(n=n, weights=np.zeros((n, n)), offset=offset)
+
+
+def test_greedy_bitstring_restarts_keep_the_smallest_of_tied_endpoints():
+    flat = _flat_bisection()
+    cost = batch_evaluator(flat)
+    sector = bitstrings_of_weight(8, 4)
+    smallest, largest = int(sector[0]), int(sector[-1])
+    # nothing descends on a flat landscape, so each path is its start
+    final, energy, path = greedy_bitstring(cost, BasisState(smallest, 8), restarts=2, seed=2)
+    assert (final.bits, energy, path) == (smallest, 1.5, [(smallest, 1.5)])
+    # from the largest state, some perturbed restart ties it and is smaller
+    final, energy, path = greedy_bitstring(cost, BasisState(largest, 8), restarts=2, seed=2)
+    assert final.bits < largest and path == [(final.bits, 1.5)]
+    assert greedy_bitstring(cost, BasisState(largest, 8))[0].bits == largest
+
+
+def test_cell_cache_best_keeps_the_smallest_state_of_tied_cells():
+    flat = _flat_bisection()
+    spec = flat.form.spec
+    cache = locate.CellCache(flat.form, cap=10**6)
+    cells = [SubAnsatzId(spec, ((t,),)) for t in (2, 0, 4)]  # the smallest state's cell second
+    minima = [cache.minimum(sa) for sa in cells]
+    assert {energy for _, energy in minima} == {1.5}
+    smallest = min(int(states.min()) for sa in cells for states in enumerate_subansatz_arrays(sa))
+    assert cache.best() == (smallest, 1.5) == (0b00001111, 1.5)
+
+
 # ---------------------------------------------------------------------------
 # soft driver
 # ---------------------------------------------------------------------------

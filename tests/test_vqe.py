@@ -13,7 +13,7 @@ from conftest import exact_minimum, sparse_simulate
 from hwvqe import locate, qsim, vqe
 from hwvqe.ansatz import DickeSpec, build_for
 from hwvqe.partition import FragmentPreparer, SubAnsatzId, enumerate_subansatz_arrays
-from hwvqe.problem import batch_evaluator, reorder, synth_assets
+from hwvqe.problem import BisectionProblem, batch_evaluator, reorder, synth_assets
 from hwvqe.vqe import (
     TRACE_HEADER,
     CorrelationSchedule,
@@ -429,6 +429,32 @@ def test_optimize_validation():
             cvar_cfg=cvar_cfg,
             schedule=CorrelationSchedule(counts=(99,), epochs=(5,), rho=(0.4,)),
         )  # group larger than the slot count
+
+
+def test_optimize_keeps_the_smallest_of_tied_samples(monkeypatch):
+    # a graph without edges costs every split the offset: every sample ties
+    flat = BisectionProblem(n=8, weights=np.zeros((8, 8)), offset=1.5)
+    drawn = []
+    original = FragmentPreparer.states_of
+
+    def spying_states_of(preparer, cells):
+        states = original(preparer, cells)
+        drawn.append(states)
+        return states
+
+    monkeypatch.setattr(FragmentPreparer, "states_of", spying_states_of)
+    # 40 draws over 70 states: the run never tabulates, nor sees every state
+    best, energy, rows = optimize(
+        flat,
+        cvar_cfg=CVaRConfig(alpha=0.5, shots=4),
+        schedule=CorrelationSchedule(counts=(1,), epochs=(10,), rho=(0.3,)),
+        seed=5,
+    )
+    sampled = np.concatenate(drawn)
+    assert len(drawn) == len(rows) == 10
+    assert best.bits == int(sampled.min()) != int(sampled[0])
+    assert best.bits != 0b00001111  # the smallest state of the sector went unsampled
+    assert energy == 1.5 and all(row.best_energy == 1.5 for row in rows)
 
 
 def test_optimize_is_deterministic_per_seed():
