@@ -34,7 +34,6 @@ __all__ = [
     "build_for",
     "reachability_params",
     "circuit_to_text",
-    "circuit_from_text",
 ]
 
 #: Parameter vectors are plain float arrays, one radian value per slot.
@@ -199,29 +198,3 @@ def circuit_to_text(circuit: Circuit) -> str:
     lines.extend(f"x {q}" for q in circuit.x_placements)
     lines.extend(f"{u} {l} {s}" for u, l, s in circuit.blocks)
     return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty circuit text")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError(f"bad header {lines[0]!r}: expected 'n k structure'")
-    n, k, structure = int(head[0]), int(head[1]), head[2]
-    if structure not in ("straight", "folded", "conjugate"):
-        raise ValueError(f"unknown structure {structure!r}")
-    xs: list[int] = []
-    blocks: list[tuple[int, int, int]] = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "x":
-            if len(parts) != 2:
-                raise ValueError(f"bad x line {ln!r}")
-            xs.append(int(parts[1]))
-        else:
-            if len(parts) != 3:
-                raise ValueError(f"bad block line {ln!r}")
-            blocks.append((int(parts[0]), int(parts[1]), int(parts[2])))
-    post = tuple(range(n)) if structure == "conjugate" else ()
-    return Circuit(n, k, structure, tuple(xs), tuple(blocks), post_x=post)

@@ -684,7 +684,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         cfg,
     )
     if args.dump_circuit:
-        _write_text(out / "circuit.txt", circuit_to_text(build_for(spec)) + "\n")
+        _write_text(out / "circuit.txt", circuit_to_text(build_for(spec)))
 
     print(f"solution {format(solution_bits, f'0{prob.n}b')} energy {refined_energy!r}")
     print(f"artifacts in {out}")

@@ -20,7 +20,6 @@ bitstring descent.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -232,7 +231,7 @@ class LocateReport:
     """Everything a location run learned: prediction, proof work, refinement."""
 
     spec: DickeSpec
-    predicted: Optional[SubAnsatzId]
+    predicted: SubAnsatzId
     candidate_bits: Optional[int]
     candidate_energy: float
     trail: tuple[tuple[SubAnsatzId, float], ...]
@@ -245,7 +244,7 @@ class LocateReport:
     def to_json_dict(self) -> dict:
         return {
             "spec": {"n": self.spec.n, "k": self.spec.k},
-            "predicted": format_id(self.predicted) if self.predicted else None,
+            "predicted": format_id(self.predicted),
             "candidate": None
             if self.candidate_bits is None
             else {
@@ -262,9 +261,6 @@ class LocateReport:
             "flags": {k: bool(v) for k, v in sorted(self.flags.items())},
             "evaluations": self.evaluations,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 class CellsOverCap(ValueError):
@@ -508,8 +504,7 @@ def _refine_report(report: LocateReport, cost: CostBatch, seed: Optional[int]) -
     report.refinements = tuple(trace)
     report.candidate_bits = final.bits
     report.candidate_energy = energy
-    if report.predicted is not None:
-        report.flags["possible_misestimation"] = not in_subansatz(final.bits, report.predicted)
+    report.flags["possible_misestimation"] = not in_subansatz(final.bits, report.predicted)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
     "QuadraticCost",
     "cost_binary",
     "to_ising",
-    "cost_bisection",
     "permute",
     "reorder",
     "ingest_csv",
@@ -203,18 +202,6 @@ class BisectionProblem:
         pinned = 1 << (self.n - 1) if self.fixed_top_bit else 0
         return QuadraticCost(self.n, self.n // 2, -1.0, self.weights,
                              self.weighted_degree, self.offset, pinned)
-
-
-def cost_bisection(b: BisectionProblem, x: BasisLike) -> float:
-    """Cut weight of the split indicated by x, plus the offset."""
-    bits = int(x)
-    if hamming_weight(bits) != b.n // 2:
-        raise ValueError(
-            f"bitstring {bits:0{b.n}b} has weight {hamming_weight(bits)}, bisection needs {b.n // 2}"
-        )
-    if b.fixed_top_bit and not (bits >> (b.n - 1)) & 1:
-        raise ValueError("top bit is pinned to 1 for this instance")
-    return float(b.form(np.array([bits], dtype=np.int64))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,9 @@ the pairs no earlier block can have reached hold zeros for any parameters.
 A :class:`Stack` lays the sectors of several circuits back to back in one
 amplitude vector and rotates block ``b`` of all of them in one step, so a
 product of small circuits costs one pass, not one per circuit.
-:func:`simulate` is its one-circuit case. :func:`apply_v_block` and
-:func:`apply_circuit` take any state: they run the same rotation over whole
-partner tables on each weight sector the state populates, under the same
-memory cap.
+:func:`simulate` is its one-circuit case. :func:`apply_circuit` takes any
+state: it runs the same rotation over whole partner tables on each weight
+sector the state populates, under the same memory cap.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ __all__ = [
     "BasisState",
     "StateVector",
     "init_basis",
-    "apply_v_block",
     "apply_circuit",
     "bitstrings_of_weight",
     "check_engine_memory",
@@ -430,14 +428,18 @@ def init_basis(n: int, b: BasisLike) -> StateVector:
     return StateVector(n, np.array([bits], dtype=np.int64), np.ones(1))
 
 
-def _apply(s: StateVector, pre: int, rotations: Sequence[tuple[int, float]], post: int) -> StateVector:
-    """Flip ``pre``, rotate each weight sector the state populates, flip ``post``.
+def apply_circuit(s: StateVector, circuit, params: Sequence[float]) -> StateVector:
+    """Apply X placements, blocks in order, then any trailing X layer; returns a new state.
 
-    The result lists every state of those sectors, ascending.
+    The result lists every state of the weight sectors ``s`` populates, ascending.
     """
     n = s.num_qubits
-    lowers = tuple(sorted({lower for lower, _ in rotations}))
-    flipped = s.states ^ pre
+    if circuit.num_qubits != n:
+        raise ValueError(f"circuit acts on {circuit.num_qubits} qubits, state has {n}")
+    if len(params) != circuit.num_params:
+        raise ValueError(f"{len(params)} parameters for {circuit.num_params} blocks")
+    lowers, post = _lowers(circuit), _mask(circuit.post_x)
+    flipped = s.states ^ _mask(circuit.x_placements)
     weights = hamming_weight_array(flipped)
     states, values = [], []
     for w in np.unique(weights).tolist():
@@ -447,32 +449,13 @@ def _apply(s: StateVector, pre: int, rotations: Sequence[tuple[int, float]], pos
         vec = np.zeros(len(sector), dtype=np.result_type(s.values, np.float64))
         mine = weights == w
         vec[np.searchsorted(sector, flipped[mine])] = s.values[mine]
-        for lower, theta in rotations:
-            _rotate(vec, *partners[lower], *_half_angle(theta))
+        for _, lower, slot in circuit.blocks:
+            _rotate(vec, *partners[lower], *_half_angle(float(params[slot])))
         states.append(sector ^ post)
         values.append(vec)
     states = np.concatenate(states)
     order = np.argsort(states)
     return StateVector(n, states[order], np.concatenate(values)[order])
-
-
-def apply_v_block(s: StateVector, upper: int, lower: int, theta: float) -> StateVector:
-    """Apply one pair rotation on the adjacent pair (upper, lower); returns a new state."""
-    if upper != lower + 1:
-        raise ValueError(f"pair ({upper},{lower}) is not adjacent with upper = lower+1")
-    if not 0 <= lower < upper <= s.num_qubits - 1:
-        raise ValueError(f"pair ({upper},{lower}) out of range for {s.num_qubits} qubits")
-    return _apply(s, 0, [(lower, float(theta))], 0)
-
-
-def apply_circuit(s: StateVector, circuit, params: Sequence[float]) -> StateVector:
-    """Apply X placements, blocks in order, then any trailing X layer; returns a new state."""
-    if circuit.num_qubits != s.num_qubits:
-        raise ValueError(f"circuit acts on {circuit.num_qubits} qubits, state has {s.num_qubits}")
-    if len(params) != circuit.num_params:
-        raise ValueError(f"{len(params)} parameters for {circuit.num_params} blocks")
-    rotations = [(lower, float(params[slot])) for _, lower, slot in circuit.blocks]
-    return _apply(s, _mask(circuit.x_placements), rotations, _mask(circuit.post_x))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from hwvqe.ansatz import (
     build_folded,
     build_for,
     build_straight,
-    circuit_from_text,
     circuit_to_text,
     conjugate_form,
     reachability_params,
@@ -171,7 +170,7 @@ def test_build_for_dispatch_and_validation():
     with pytest.raises(ValueError, match="1 <= k <= n/2"):
         build_straight(DickeSpec(3, 2))  # its flips would be on qubits 1 and -1
     with pytest.raises(ValueError, match="X on qubit -1"):
-        circuit_from_text("3 1 straight\nx -1\n")
+        Circuit(3, 1, "straight", (-1,), ())
     with pytest.raises(ValueError):
         conjugate_form(DickeSpec(6, 3))
     with pytest.raises(ValueError):
@@ -200,12 +199,17 @@ def test_reachability_rejects_wrong_weight():
         reachability_params(DickeSpec(6, 3), 0b110011)
 
 
-def test_circuit_text_round_trip():
-    for spec in (DickeSpec(6, 2), DickeSpec(5, 4)):
-        circuit = build_for(spec)
-        text = circuit_to_text(circuit)
-        back = circuit_from_text(text)
-        assert back == circuit
+def test_circuit_to_text_writes_the_exact_format():
+    # header "n k structure", an "x q" line per initial flip, then
+    # "upper lower slot" per block; the conjugate's trailing X layer is implied
+    folded = (
+        "6 2 folded\n"
+        "x 4\nx 2\n"
+        "5 4 0\n3 2 1\n4 3 2\n2 1 3\n3 2 4\n1 0 5\n2 1 6\n"
+    )
+    assert circuit_to_text(build_for(DickeSpec(6, 2))) == folded
+    conjugate = "5 4 conjugate\nx 3\n4 3 0\n3 2 1\n2 1 2\n1 0 3\n"
+    assert circuit_to_text(build_for(DickeSpec(5, 4))) == conjugate
 
 
 def test_circuit_rejects_bad_blocks():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_subspace_min
 from hwvqe import cli, locate, vqe
-from hwvqe.ansatz import DickeSpec, circuit_from_text
+from hwvqe.ansatz import DickeSpec, build_for, circuit_to_text
 from hwvqe.cli import ConfigError, load_config, main
 from hwvqe.partition import SubAnsatzId
 from hwvqe.problem import (
@@ -773,13 +773,11 @@ def test_solve_keeps_the_refined_state_when_the_candidate_only_ties_it(tmp_path)
     assert sol["notes"] == []  # no "location candidate beat the optimizer"
 
 
-def test_dump_circuit_round_trips(tmp_path):
+def test_dump_circuit_writes_the_circuit_text_once(tmp_path):
     cfg = _write_config(tmp_path)
-    main(["solve", "--config", str(cfg), "--out", str(tmp_path / "d"), "--dump-circuit"])
-    text = (tmp_path / "d" / "circuit.txt").read_text()
-    circuit = circuit_from_text(text)
-    assert circuit.num_qubits == 10
-    assert text.splitlines()[0] == "10 5 folded"
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "d"), "--dump-circuit"]) == 0
+    written = (tmp_path / "d" / "circuit.txt").read_bytes()
+    assert written == circuit_to_text(build_for(DickeSpec(10, 5))).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Source hygiene: every imported name in the package and the tests is used,
-and every private name the package binds at module level is read somewhere."""
+every private name the package binds at module level is read somewhere, and
+every name a package module exports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,3 +95,14 @@ def test_no_unread_private_names():
         if name not in read
     ]
     assert unread == []
+
+
+def test_every_exported_name_is_defined():
+    """A stale ``__all__`` entry breaks ``from hwvqe.<module> import *``."""
+    assert len(PACKAGE) > 5
+    stale = []
+    for path in PACKAGE:
+        module = importlib.import_module("hwvqe" if path.stem == "__init__" else f"hwvqe.{path.stem}")
+        exported = vars(module).get("__all__", ())
+        stale += [f"{path.relative_to(ROOT)}: {name}" for name in exported if not hasattr(module, name)]
+    assert stale == []

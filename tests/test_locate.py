@@ -564,7 +564,7 @@ def test_locate_hard_errors_when_no_axis_cell_fits():
 def test_locate_report_json_round_trip():
     p = _portfolio(4, n=12)
     report = locate_soft(p, refine=True, seed=1)
-    data = json.loads(report.to_json())
+    data = json.loads(json.dumps(report.to_json_dict()))
     assert data["spec"] == {"n": 12, "k": 6}
     assert data["predicted"].startswith("sa^1_[")
     assert len(data["candidate"]["bits"]) == 12
@@ -616,7 +616,7 @@ def test_location_screens_each_mirror_pair_once(driver, monkeypatch):
     monkeypatch.setattr(QuadraticCost, "mirror_window", None)  # a fresh form reads it
     alone = run(synth_graph(16, 0.5, 1, 2))
     assert len(calls) == len(alone.trail) == len(report.trail)
-    assert alone.to_json() == report.to_json()
+    assert alone.to_json_dict() == report.to_json_dict()
 
 
 @pytest.mark.parametrize("n, paired", [(16, 2), (24, 9)])
@@ -639,4 +639,4 @@ def test_location_pairs_a_screen_only_with_a_sibling_mirror(n, paired, monkeypat
     monkeypatch.setattr(QuadraticCost, "mirror_window", None)
     alone = locate_hard(synth_graph(n, 0.5, 1, 2), p=2)
     assert len(calls) == len(alone.trail) == len(report.trail)
-    assert alone.to_json() == report.to_json()
+    assert alone.to_json_dict() == report.to_json_dict()

@@ -18,7 +18,6 @@ from hwvqe.problem import (
     QuadraticCost,
     batch_evaluator,
     cost_binary,
-    cost_bisection,
     ingest_csv,
     lift_bits,
     load_graph,
@@ -43,6 +42,12 @@ def _random_portfolio(rng, n=8, q=0.7, budget=None):
 
 def _bits_vector(x, n):
     return np.array([(x >> i) & 1 for i in range(n)], dtype=float)
+
+
+def _cut(W, x, n):
+    """Total weight of the edges whose ends x puts on different sides."""
+    side = _bits_vector(x, n)
+    return sum(W[i, j] for i in range(n) for j in range(i + 1, n) if side[i] != side[j])
 
 
 def test_cost_binary_matches_quadratic_form(rng):
@@ -130,17 +135,9 @@ def test_bisection_cost_tiny_graph_oracle():
     W[1, 2] = W[2, 1] = 2.0
     W[2, 3] = W[3, 2] = 3.0
     b = BisectionProblem(n=4, weights=W, offset=0.0)
-    cuts = {}
-    for bits in bitstrings_of_weight(4, 2):
-        side = _bits_vector(int(bits), 4)
-        cut = sum(
-            W[i, j]
-            for i in range(4)
-            for j in range(i + 1, 4)
-            if side[i] != side[j]
-        )
-        cuts[int(bits)] = cut
-        assert abs(cost_bisection(b, int(bits)) - cut) < 1e-12
+    states = bitstrings_of_weight(4, 2)
+    cuts = {bits: _cut(W, bits, 4) for bits in states.tolist()}
+    assert np.allclose(b.form(states), list(cuts.values()), rtol=0, atol=1e-12)
     # balanced min-cut of the path splits the lightest edge
     assert min(cuts, key=cuts.get) == 0b0011  # nodes {0,1} vs {2,3}: cut = 2
 
@@ -149,7 +146,7 @@ def test_bisection_batch_and_offset(rng):
     g = synth_graph(8, 0.6, seed_graph=4, seed_weights=5, offset=-3.0)
     states = bitstrings_of_weight(8, 4).astype(np.int64)
     batch = batch_evaluator(g)(states)
-    loop = np.array([cost_bisection(g, int(b)) for b in states])
+    loop = np.array([g.form(states[i : i + 1])[0] for i in range(len(states))])
     assert np.allclose(batch, loop, atol=1e-12)
     g0 = synth_graph(8, 0.6, seed_graph=4, seed_weights=5, offset=0.0)
     assert np.allclose(batch, batch_evaluator(g0)(states) - 3.0, atol=1e-12)
@@ -176,9 +173,9 @@ def test_reorder_bisection_sorts_weighted_degree():
 def test_reverse_nodes_mirrors_cost():
     g = synth_graph(6, 0.7, seed_graph=9, seed_weights=9)
     r, _ = permute(g, np.arange(6)[::-1])
-    for bits in bitstrings_of_weight(6, 3):
-        mirrored = int(format(int(bits), "06b")[::-1], 2)
-        assert abs(cost_bisection(r, mirrored) - cost_bisection(g, int(bits))) < 1e-12
+    states = bitstrings_of_weight(6, 3)
+    mirrored = np.array([int(format(int(bits), "06b")[::-1], 2) for bits in states])
+    assert np.allclose(r.form(mirrored), g.form(states), rtol=0, atol=1e-12)
 
 
 def test_reduced_bisection_equals_pinned_full_cost():
@@ -189,7 +186,7 @@ def test_reduced_bisection_equals_pinned_full_cost():
     for bits, value in zip(states, reduced_costs):
         full_bits = lift_bits(g, int(bits))
         assert full_bits >> 7 == 1
-        assert abs(value - cost_bisection(g, full_bits)) < 1e-12
+        assert abs(value - (_cut(g.weights, full_bits, 8) + g.offset)) < 1e-12
 
 
 def test_dicke_spec_for_all_problem_shapes():

@@ -17,7 +17,6 @@ from hwvqe.qsim import (
     BasisState,
     StateVector,
     apply_circuit,
-    apply_v_block,
     bitstrings_of_weight,
     check_engine_memory,
     draw,
@@ -30,19 +29,25 @@ from hwvqe.qsim import (
 )
 
 
+def _rotate_pair(state, lower, theta):
+    """The pair rotation on (lower + 1, lower), as a one-block circuit."""
+    block = Circuit(state.num_qubits, 1, "straight", (), ((lower + 1, lower, 0),))
+    return apply_circuit(state, block, [theta])
+
+
 def test_pair_rotation_matrix_action():
     # on the pair subspace: |01> -> c|01> - s|10>, |10> -> s|01> + c|10>
     theta = 1.1
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    out01 = apply_v_block(init_basis(2, 0b01), 1, 0, theta).amplitudes
+    out01 = _rotate_pair(init_basis(2, 0b01), 0, theta).amplitudes
     assert np.allclose(out01, [0, c, -s, 0], atol=1e-15)
-    out10 = apply_v_block(init_basis(2, 0b10), 1, 0, theta).amplitudes
+    out10 = _rotate_pair(init_basis(2, 0b10), 0, theta).amplitudes
     assert np.allclose(out10, [0, s, c, 0], atol=1e-15)
 
 
 def test_pair_rotation_fixes_even_weight_pair_states():
     for bits in (0b00, 0b11):
-        out = apply_v_block(init_basis(2, bits), 1, 0, 2.3).amplitudes
+        out = _rotate_pair(init_basis(2, bits), 0, 2.3).amplitudes
         expected = np.zeros(4)
         expected[bits] = 1.0
         assert np.allclose(out, expected, atol=1e-15)
@@ -54,7 +59,7 @@ def test_pair_rotation_preserves_norm_and_weight(rng):
     amps /= np.linalg.norm(amps)
     s = StateVector(n, np.arange(1 << n), amps.copy())
     for lower in range(n - 1):
-        s = apply_v_block(s, lower + 1, lower, rng.uniform(0, 2 * math.pi))
+        s = _rotate_pair(s, lower, rng.uniform(0, 2 * math.pi))
     assert abs(s.norm_sq() - 1.0) < 1e-12
     # weight sectors never mix: total probability per weight is invariant
     idx = np.arange(1 << n, dtype=np.int64)
@@ -62,14 +67,6 @@ def test_pair_rotation_preserves_norm_and_weight(rng):
     before = np.bincount(w, weights=np.abs(amps) ** 2, minlength=n + 1)
     after = np.bincount(w, weights=np.abs(s.amplitudes) ** 2, minlength=n + 1)
     assert np.allclose(before, after, atol=1e-12)
-
-
-def test_pair_rotation_rejects_non_adjacent_pairs():
-    s = init_basis(3, 0)
-    with pytest.raises(ValueError):
-        apply_v_block(s, 2, 0, 0.5)
-    with pytest.raises(ValueError):
-        apply_v_block(s, 3, 2, 0.5)
 
 
 def test_basis_state_validation_weight_and_text():
@@ -167,7 +164,7 @@ def test_draw_never_picks_a_zero_probability_state():
 
 
 def test_kernels_match_dense_matrix_reference(rng):
-    # apply_v_block and the X layers of apply_circuit against the full 2^n x 2^n
+    # one-block circuits and the X layers of apply_circuit against the full 2^n x 2^n
     # matrix of each gate, built from the rule, on a state spanning every weight
     n = 6
     dim = 1 << n
@@ -184,7 +181,7 @@ def test_kernels_match_dense_matrix_reference(rng):
                 partner = b ^ (0b11 << lower)
                 matrix[b, b] = c
                 matrix[partner, b] = -s if pair == 0b01 else s
-        out = apply_v_block(state, lower + 1, lower, theta).amplitudes
+        out = _rotate_pair(state, lower, theta).amplitudes
         assert np.allclose(out, matrix @ amps, atol=1e-15)
     assert np.array_equal(state.amplitudes, amps)  # the input is left as it was
     for q in range(n):
