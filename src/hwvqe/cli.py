@@ -32,13 +32,13 @@ import numpy as np
 from . import __version__, locate, qsim, vqe
 from .ansatz import DickeSpec, build_for, circuit_to_text
 from .partition import (
-    FragmentPreparer,
     SubAnsatzId,
     child_count,
     child_weight,
     format_id,
     in_subansatz,
     product_states,
+    subansatz_basis_count,
 )
 from .qsim import MAX_PACKED_QUBITS, BasisState
 from .problem import (
@@ -316,11 +316,13 @@ _CONFIG_KEYS: dict[tuple[str, ...], _Key] = {
     ("cvar", "alpha_start"): _Key(_is_fraction, "a number in (0, 1]", 0.01),
     ("cvar", "alpha_cap"): _Key(_is_fraction, "a number in (0, 1]", 1.0),
     ("cvar", "shots"): _SHOTS,
-    # schedule's keys come together, without defaults
-    ("schedule", "counts"): _Key(_is_array_of(_is_positive_int), "a non-empty array of positive integers"),
-    ("schedule", "epochs"): _Key(_is_array_of(_is_positive_int), "a non-empty array of positive integers"),
+    # schedule's keys come together: their defaults stand only for an absent section
+    ("schedule", "counts"): _Key(_is_array_of(_is_positive_int), "a non-empty array of positive integers",
+                                 (8, 4, 1)),
+    ("schedule", "epochs"): _Key(_is_array_of(_is_positive_int), "a non-empty array of positive integers",
+                                 (20, 20, 40)),
     ("schedule", "rho_pi"): _Key(_is_array_of(lambda v: _is_real(v) and v > 0),
-                                 "a non-empty array of positive numbers"),
+                                 "a non-empty array of positive numbers", (0.15, 0.15, 0.15)),
     ("curves", "points"): _Key(_is_positive_int, "a positive integer", 21,
                                (qsim.MAX_ENGINE_BYTES // _POINT_BYTES, f"{_POINT_BYTES} bytes per point")),
     ("study", "alphas"): _Key(_is_array_of(_is_fraction), "a non-empty array of numbers in (0, 1]",
@@ -501,19 +503,11 @@ def _out_dir(cfg: RunConfig, args) -> Path:
     return Path("runs") / stem
 
 
-def _schedule_from(cfg: RunConfig, slots: int) -> vqe.CorrelationSchedule:
-    sched = cfg.schedule
-    if not sched:
-        return vqe.CorrelationSchedule(
-            counts=(min(8, slots), min(4, slots), 1),
-            epochs=(20, 20, 40),
-            rho=(0.15 * np.pi,) * 3,
-        )
-    counts = tuple(min(int(c), slots) for c in sched["counts"])
+def _schedule_from(cfg: RunConfig) -> vqe.CorrelationSchedule:
     return vqe.CorrelationSchedule(
-        counts=counts,
-        epochs=tuple(int(e) for e in sched["epochs"]),
-        rho=tuple(float(r) * np.pi for r in sched["rho_pi"]),
+        counts=cfg.setting("schedule", "counts"),
+        epochs=cfg.setting("schedule", "epochs"),
+        rho=tuple(float(r) * np.pi for r in cfg.setting("schedule", "rho_pi")),
     )
 
 
@@ -554,9 +548,9 @@ def _check_full_width(cfg: RunConfig, spec: DickeSpec, curves: bool) -> None:
 def _theta0_near(spec: DickeSpec, ordinal: int, notes: list[str]) -> float:
     """The identical angle that concentrates mass on level-1 cell ``ordinal``.
 
-    Falls back to 0.8 pi, with a note, where the exact ratio curves are
-    unavailable or the cell lies in the left half of the axis, which
-    :func:`vqe.close_to_solution_theta` refuses.
+    Falls back to ``vqe.DEFAULT_THETA0_PI`` pi, with a note, where the exact
+    ratio curves are unavailable or the cell lies in the left half of the
+    axis, which :func:`vqe.close_to_solution_theta` refuses.
     """
     if spec.n > vqe.EXACT_PROBABILITY_LIMIT:
         why = "exact ratio curves unavailable"
@@ -564,8 +558,8 @@ def _theta0_near(spec: DickeSpec, ordinal: int, notes: list[str]) -> float:
         why = f"predicted cell {ordinal} lies in the left half"
     else:
         return vqe.close_to_solution_theta(spec, child_weight(spec, ordinal))
-    notes.append(f"theta0 defaulted to 0.8 pi ({why})")
-    return 0.8 * math.pi
+    notes.append(f"theta0 defaulted to {vqe.DEFAULT_THETA0_PI} pi ({why})")
+    return vqe.DEFAULT_THETA0_PI * math.pi
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:
@@ -623,27 +617,19 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     if cfg.mode == "hard":
         for frag in target.fragments():
             _check_engine_memory(cfg, "depth", frag, "; raise depth")
-    slots = FragmentPreparer(target).num_params
     best_energy, rows = None, []
-    if slots:
-        schedule = _schedule_from(cfg, slots)
+    if subansatz_basis_count(target) > 1:  # else every fragment is a fixed bit block
+        schedule = _schedule_from(cfg)
         best, best_energy, rows = vqe.optimize(
-            prob,
-            mode=cfg.mode,
-            target=target,
-            theta0=theta0,
-            cvar_cfg=_cvar_from(cfg, len(schedule)),
-            schedule=schedule,
-            seed=cfg.seed,
+            prob, mode=cfg.mode, target=target, theta0=theta0, cvar_cfg=_cvar_from(cfg, len(schedule)),
+            schedule=schedule, seed=cfg.seed,
         )
         best_bits = best.bits
     else:
         notes.append("located cell is a single basis state; optimization skipped")
         if report is None:  # location skipped: the one-state search space is the answer
             best_bits = int(product_states(target.fragments())[0])
-        elif report.candidate_bits is None:
-            cfg.fail("cap", f"every probed cell exceeded cap {cfg.cap}; raise 'cap'")
-        else:
+        else:  # location costed at least one cell, or it raised CellsOverCap
             best_bits = report.candidate_bits
 
     cost = batch_evaluator(prob)
@@ -791,11 +777,10 @@ def cmd_study(cfg: RunConfig, args) -> int:
     prob = build_problem(cfg)
     spec = prob.form.spec
     _check_full_width(cfg, spec, curves=False)
-    slots = build_for(spec).num_params
     alphas = [float(a) for a in cfg.setting("study", "alphas")]
-    betas = sorted({min(int(b), slots) for b in cfg.setting("study", "betas")})
+    betas = vqe.study_group_sizes(spec, cfg.setting("study", "betas"))
     seeds = [cfg.seed + i for i in range(int(cfg.setting("study", "seeds")))]
-    theta0 = (cfg.theta0_pi if cfg.theta0_pi is not None else 0.8) * math.pi
+    theta0 = (cfg.theta0_pi if cfg.theta0_pi is not None else vqe.DEFAULT_THETA0_PI) * math.pi
     study = functools.partial(
         vqe.bounded_cvar_study, prob, seeds=seeds, epochs=int(cfg.setting("study", "epochs")),
         shots=int(cfg.setting("study", "shots")), theta0=theta0,

@@ -94,6 +94,9 @@ class PortfolioProblem:
             raise ValueError(f"covariance shape {A.shape} != ({self.n}, {self.n})")
         if mu.shape != (self.n,):
             raise ValueError(f"return vector shape {mu.shape} != ({self.n},)")
+        for name, values in (("covariance matrix", A), ("return vector", mu), ("risk level", self.q)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if not np.allclose(A, A.T, atol=1e-9):
             raise ValueError("covariance matrix is not symmetric")
         if self.q <= 0:
@@ -174,6 +177,9 @@ class BisectionProblem:
         W = np.asarray(self.weights, dtype=np.float64)
         if W.shape != (self.n, self.n):
             raise ValueError(f"weight matrix shape {W.shape} != ({self.n}, {self.n})")
+        for name, values in (("weight matrix", W), ("offset", self.offset)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if not np.allclose(W, W.T, atol=1e-12):
             raise ValueError("weight matrix is not symmetric")
         if np.any(np.diag(W) != 0.0):
@@ -638,6 +644,8 @@ def ingest_csv(path: str | Path, q: float = 0.9, budget: int | None = None) -> P
                 raise ValueError(
                     f"{path}:{lineno}: non-numeric cell {cell!r} in column {header[col + 1]!r}"
                 ) from None
+            if not math.isfinite(prices[lineno - 2, col]):
+                raise ValueError(f"{path}:{lineno}: non-finite cell {cell!r} in column {header[col + 1]!r}")
 
     mu, A = _stats_from_prices(prices)
     if budget is None:

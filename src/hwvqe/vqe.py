@@ -42,6 +42,7 @@ __all__ = [
     "expand_params",
     "contract_params",
     "optimize",
+    "study_group_sizes",
     "bounded_cvar_study",
     "plateau_of",
     "epochs_to_plateau",
@@ -52,6 +53,7 @@ __all__ = [
 EXACT_PROBABILITY_LIMIT = 20  # statevector ground-state probability up to here
 COBYLA_RHOEND = 1e-4  # final trust radius of each COBYLA run
 DEFAULT_SHOTS = 1024  # samples per objective evaluation unless a config sets them
+DEFAULT_THETA0_PI = 0.8  # the identical initial angle, in units of pi, where none is chosen
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +403,7 @@ def optimize(
     schedule: CorrelationSchedule,
     mode: str = "soft",
     target: Optional[SubAnsatzId] = None,
-    theta0: float = 0.8 * np.pi,
+    theta0: float = DEFAULT_THETA0_PI * np.pi,
     seed: Optional[int] = None,
 ) -> tuple[qsim.BasisState, float, list[TraceRow]]:
     """Staged CVaR minimization; returns the best sampled state and the trace.
@@ -415,7 +417,8 @@ def optimize(
     (:meth:`~hwvqe.partition.FragmentPreparer.tabulate`), and each evaluation
     reads its outcomes' energies from that table. Each stage contracts the
     previous physical angles into the new grouping, runs the trust-region loop
-    for its epoch budget, and expands its best evaluated point back.
+    for its epoch budget, and expands its best evaluated point back. A stage's
+    group size, which the trace records, is ``min(count, num_params)``.
 
     Every stage makes exactly ``schedule.epochs[stage]`` objective
     evaluations, so the trace has ``sum(schedule.epochs)`` rows:
@@ -438,10 +441,6 @@ def optimize(
     preparer = FragmentPreparer(target)
     if preparer.num_params == 0:
         raise ValueError("nothing to optimize: the preparation has no parameters")
-    if max(schedule.counts) > preparer.num_params:
-        raise ValueError(
-            f"group size {max(schedule.counts)} exceeds {preparer.num_params} parameter slots"
-        )
 
     cost = batch_evaluator(problem)
     preparer.tabulate(cost, cvar_cfg.shots * sum(schedule.epochs))
@@ -454,7 +453,7 @@ def optimize(
     epoch = 0
 
     for stage in range(len(schedule)):
-        beta = schedule.counts[stage]
+        beta = min(schedule.counts[stage], preparer.num_params)
         alpha = cvar_cfg.alpha_at(stage)
         stage_end = epoch + schedule.epochs[stage]
 
@@ -505,6 +504,13 @@ def optimize(
 # ---------------------------------------------------------------------------
 
 
+def study_group_sizes(spec: DickeSpec, betas: Sequence[int]) -> list[int]:
+    """``betas`` clamped to the slot count of ``spec``'s full-width circuit, as
+    :func:`optimize` clamps them, each once in first-seen order."""
+    slots = build_for(spec).num_params
+    return list(dict.fromkeys(min(int(b), slots) for b in betas))
+
+
 def bounded_cvar_study(
     problem,
     alphas: Sequence[float],
@@ -512,22 +518,21 @@ def bounded_cvar_study(
     seeds: Sequence[int],
     epochs: int,
     shots: int = DEFAULT_SHOTS,
-    theta0: float = 0.8 * np.pi,
+    theta0: float = DEFAULT_THETA0_PI * np.pi,
 ) -> dict[tuple[float, int], list[list[float]]]:
     """Fixed-(alpha, beta) convergence traces over a seed ensemble.
 
     Each trace is one soft-mode :func:`optimize` of ``epochs`` evaluations at
-    trust radius 0.15 pi. Group sizes are clamped to the slot count, so the
-    canonical {1,10,20,40} grid adapts to smaller circuits, and group sizes
-    that clamp alike run once; each cell holds one expectation-per-epoch list
-    per seed. The circuit must fit the engine's memory cap.
+    trust radius 0.15 pi. The group sizes are :func:`study_group_sizes`, so
+    the canonical {1,10,20,40} grid adapts to smaller circuits and sizes that
+    clamp alike run once; each cell holds one expectation-per-epoch list per
+    seed. The circuit must fit the engine's memory cap.
     """
-    circuit = build_for(problem.form.spec)
-    qsim.check_engine_memory(circuit)
-    clamped = dict.fromkeys(min(int(b), circuit.num_params) for b in betas)
+    qsim.check_engine_memory(build_for(problem.form.spec))
+    sizes = study_group_sizes(problem.form.spec, betas)
     table: dict[tuple[float, int], list[list[float]]] = {}
     for alpha in alphas:
-        for beta in clamped:
+        for beta in sizes:
             traces: list[list[float]] = []
             for seed in seeds:
                 _, _, rows = optimize(

@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
 import tracemalloc
@@ -63,6 +64,13 @@ def test_bundled_configs_load(name):
 def test_missing_config_is_a_config_error():
     with pytest.raises(ConfigError):
         load_config("no-such-config-anywhere")
+
+
+def test_top_level_array_config_cites_line_one(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[\n  {}\n]\n")
+    assert main(["solve", "--config", str(path)]) == 1
+    assert f"error: {path}:1: top level must be an object" in capsys.readouterr().err
 
 
 def test_invalid_json_reports_line(tmp_path, capsys):
@@ -263,6 +271,19 @@ def test_readme_states_the_bounds_the_code_enforces():
     assert [phrase for phrase in phrases if phrase not in readme] == []
 
 
+def test_readme_library_example_runs(capsys):
+    """README's ``## Library`` code block runs against the current API."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md ## Library", "exec"), namespace)
+    assert sum(namespace["counts"].values()) == 512
+    bits, energy = capsys.readouterr().out.split()
+    assert bits == format(namespace["report"].candidate_bits, "016b") and bits.count("1") == 8
+    assert float(energy) == namespace["report"].candidate_energy
+
+
 @pytest.mark.parametrize("command", ["solve", "curves", "interpolate", "study", "bruteforce"])
 def test_width_beyond_int64_packing_is_a_config_error(tmp_path, capsys, command):
     path = _write_config(
@@ -400,6 +421,8 @@ def _valid_portfolio_doc():
         (lambda doc: {**doc, "mu": [0.1, 0.2]}, ": key 'mu' has shape (2,); n = 4 needs 4 values"),
         (lambda doc: {**doc, "xi": 5}, ": key 'xi' = 5 outside 0..4"),
         (lambda doc: {**doc, "q": "high"}, ": key 'q': could not convert string to float: 'high'"),
+        (lambda doc: {**doc, "A": [v + 0.01 * (i == 1) for i, v in enumerate(doc["A"])]},
+         ": covariance matrix is not symmetric"),
     ],
 )
 def test_malformed_portfolio_file_names_the_file_and_key(tmp_path, capsys, edit, message):
@@ -421,6 +444,9 @@ def test_malformed_portfolio_file_names_the_file_and_key(tmp_path, capsys, edit,
         ("# nodes=4\n2 2 0.5\n", ":2: self-loop on node 2"),
         ("# nodes=4\n0 one 0.5\n", ":2: edge '0 one 0.5' is not 'u v weight'"),
         ("# nodes=3\n0 1 0.5\n", ":1: bisection needs an even node count, got 3"),
+        ("# nodes=4\n\n2 2 0.5\n", ":3: self-loop on node 2"),  # a blank line is skipped, and counted
+        ("# nodes=0\n", ":1: nodes must be a positive integer, got 0"),
+        ("# nodes=4\n0 1 inf\n", ":2: edge weight 'inf' is not finite"),
     ],
 )
 def test_malformed_graph_file_names_the_file_and_line(tmp_path, capsys, text, message):
@@ -432,6 +458,70 @@ def test_malformed_graph_file_names_the_file_and_line(tmp_path, capsys, text, me
     rc = main(["bruteforce", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert f"error: {instance}{message}" in capsys.readouterr().err
+
+
+def _non_finite_instance(tmp_path, case):
+    """An instance file holding one non-finite number, and its problem section."""
+    if case == "offset-nan":
+        instance = tmp_path / "g.txt"
+        save_graph(synth_graph(8, 0.5, 1, 2), instance)
+        instance.write_text(instance.read_text().replace("offset=0.0", "offset=nan"))
+        return instance, {"kind": "graph-file", "path": str(instance)}
+    if case == "price-nan":
+        instance = tmp_path / "prices.csv"
+        instance.write_text("date,a,b,c,d\n2024-01-01,1,1,1,1\n2024-01-02,1.1,nan,1,1\n"
+                            "2024-01-03,1,1.2,1,1.1\n2024-01-04,1.2,1,1.1,1\n")
+        return instance, {"kind": "csv-portfolio", "path": str(instance)}
+    doc = {**_valid_portfolio_doc(), "n": 8, "xi": 4}
+    doc["A"], doc["mu"] = np.eye(8).ravel().tolist(), [0.01 * i for i in range(8)]
+    if case == "mu-nan":
+        doc["mu"][2] = math.nan
+    elif case == "q-inf":
+        doc["q"] = math.inf
+    else:
+        doc["A"][9] = math.inf  # asset 1's variance
+    instance = tmp_path / "p.json"
+    instance.write_text(json.dumps(doc))  # as the literals NaN and Infinity
+    return instance, {"kind": "portfolio-file", "path": str(instance)}
+
+
+@pytest.mark.parametrize(
+    "case, command, message",
+    [
+        ("mu-nan", "solve", ": return vector must be finite"),
+        ("mu-nan", "bruteforce", ": return vector must be finite"),
+        ("mu-nan", "interpolate", ": return vector must be finite"),
+        ("q-inf", "solve", ": risk level must be finite"),
+        ("a-diagonal-inf", "solve", ": covariance matrix must be finite"),
+        ("a-diagonal-inf", "bruteforce", ": covariance matrix must be finite"),
+        ("offset-nan", "solve", ":1: offset must be finite"),
+        ("offset-nan", "bruteforce", ":1: offset must be finite"),
+        ("offset-nan", "interpolate", ":1: offset must be finite"),
+        ("price-nan", "solve", ":3: non-finite cell 'nan' in column 'b'"),
+    ],
+)
+def test_non_finite_instance_values_exit_1_naming_the_file(tmp_path, capsys, case, command, message):
+    instance, problem = _non_finite_instance(tmp_path, case)
+    path = _write_config(tmp_path, problem=problem, reorder="none")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {instance}{message}" in capsys.readouterr().err
+
+
+def test_unreadable_instance_file_cites_the_path_line(tmp_path, capsys):
+    path = _write_config(tmp_path, problem={"kind": "portfolio-file", "path": str(tmp_path / "none.json")})
+    assert main(["bruteforce", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    path_line = next(i for i, line in enumerate(path.read_text().splitlines(), start=1) if '"path"' in line)
+    assert f"error: {path}:{path_line}: cannot read the instance file: " in capsys.readouterr().err
+
+
+def test_soft_location_over_cap_cites_the_cap_line(tmp_path, capsys):
+    # D^12_3's level-1 cells hold 20, 90, 90 and 20 states
+    path = _write_config(tmp_path, problem={"kind": "synth-portfolio", "n": 12, "seed": 4, "budget": 3}, cap=10)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    cap_line = next(i for i, line in enumerate(path.read_text().splitlines(), start=1) if '"cap"' in line)
+    err = capsys.readouterr().err
+    assert f"error: {path}:{cap_line}: every cell probed on the interpolation axis exceeds cap 10" in err
+    assert err.rstrip().endswith("; raise 'cap'")
 
 
 @pytest.mark.parametrize(
@@ -597,6 +687,14 @@ def test_solve_agrees_with_bruteforce(tmp_path):
     assert len(trace) == 3 + 12 + 16  # headers + one row per epoch
 
 
+def test_out_defaults_to_the_config_out_key_then_runs_and_the_config_stem(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["bruteforce", "--config", str(_write_config(tmp_path, name="plain.json"))]) == 0
+    assert (tmp_path / "runs" / "plain" / "bruteforce.json").is_file()
+    assert main(["bruteforce", "--config", str(_write_config(tmp_path, out="chosen"))]) == 0
+    assert (tmp_path / "chosen" / "bruteforce.json").is_file()
+
+
 def test_solve_reruns_are_byte_identical(tmp_path):
     cfg = _write_config(tmp_path)
     main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r1")])
@@ -750,6 +848,40 @@ def test_solve_takes_the_only_state_of_a_one_state_search_space(tmp_path):
     sol = json.loads((tmp_path / "g" / "solution.json").read_text())
     assert sol["solution"]["bits"] == "10"
     assert sol["flags"]["locate_skipped"]
+
+
+def test_solve_without_a_schedule_runs_the_default_rows(tmp_path):
+    # D^6_3 has fewer than 8 slots: the first stage's group is the slot count
+    problem = {"kind": "synth-portfolio", "n": 6, "seed": 4, "budget": 3}
+    bare = json.loads(_write_config(tmp_path, problem=problem).read_text())
+    del bare["schedule"]
+    (tmp_path / "bare.json").write_text(json.dumps(bare, indent=2))
+    explicit = _write_config(tmp_path, name="explicit.json", problem=problem,
+                             schedule={"counts": [8, 4, 1], "epochs": [20, 20, 40], "rho_pi": [0.15] * 3})
+    assert main(["solve", "--config", str(tmp_path / "bare.json"), "--out", str(tmp_path / "a")]) == 0
+    assert main(["solve", "--config", str(explicit), "--out", str(tmp_path / "b")]) == 0
+    rows = [(tmp_path / out / "trace.csv").read_text().splitlines()[2:] for out in ("a", "b")]
+    assert rows[0] == rows[1]
+    slots = build_for(DickeSpec(6, 3)).num_params
+    assert slots < 8
+    assert [int(row.split(",")[3]) for row in rows[0][1:]] == [slots] * 20 + [4] * 20 + [1] * 40
+
+
+def test_solve_skips_the_optimizer_on_a_located_cell_of_one_state(tmp_path):
+    # assets 0, 1, 6 and 7 return most: level 1 locates two of them in each
+    # half, and level 2 the fragments of weight 2, 0, 0 and 2
+    mu = np.full(8, 0.001)
+    mu[[0, 1, 6, 7]] = 0.005
+    save_portfolio(PortfolioProblem(n=8, q=0.9, A=1e-5 * np.eye(8), mu=mu, budget=4), tmp_path / "p.json")
+    cfg = _write_config(tmp_path, problem={"kind": "portfolio-file", "path": str(tmp_path / "p.json")},
+                        reorder="none", mode="hard", depth=2)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "h")]) == 0
+    sol = json.loads((tmp_path / "h" / "solution.json").read_text())
+    located = json.loads((tmp_path / "h" / "locate.json").read_text())
+    assert sol["predicted"] == "sa^1_[2]-sa^2_[2,0]"
+    assert sol["notes"] == ["located cell is a single basis state; optimization skipped"]
+    assert sol["optimizer"] == {"epochs": 0, "best_sampled_energy": None}
+    assert sol["solution"]["bits"] == located["candidate"]["bits"] == "11000011"
 
 
 def test_solve_keeps_the_refined_state_when_the_candidate_only_ties_it(tmp_path):

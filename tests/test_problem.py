@@ -1,5 +1,6 @@
 """Cost models: quadratic forms, spin mapping, reordering, file formats."""
 
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -604,6 +605,8 @@ def test_ingest_csv_happy_path(tmp_path):
         ("date,a\n2024-01-01,1\n2024-01-02,\n2024-01-03,3\n", ":3"),
         ("date,a\n2024-01-01,1\n2024-01-02,oops\n2024-01-03,3\n", ":3"),
         ("date,a\n2024-01-01,1\n2024-01-02,2,9\n2024-01-03,3\n", ":3"),
+        ("date,a\n2024-01-01,1\n2024-01-02,inf\n2024-01-03,3\n", ":3: non-finite cell 'inf'"),
+        ("", "bad.csv: empty file"),
     ],
 )
 def test_ingest_csv_line_precise_errors(tmp_path, rows, fragment):
@@ -623,6 +626,16 @@ def test_portfolio_save_load_round_trip(tmp_path, rng):
     assert q.n == p.n and q.q == p.q and q.budget == p.budget
     assert np.array_equal(q.A, p.A) and np.array_equal(q.mu, p.mu)
     assert q.permutation == p.permutation
+
+
+def test_portfolio_file_without_a_permutation_is_in_index_order(tmp_path, rng):
+    p = _random_portfolio(rng, n=6)
+    doc = {"n": p.n, "q": p.q, "A": p.A.ravel().tolist(), "mu": p.mu.tolist(), "xi": p.budget}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    q = load_portfolio(path)
+    assert q.permutation == tuple(range(6))
+    assert np.array_equal(q.A, p.A) and np.array_equal(q.mu, p.mu)
 
 
 def test_graph_save_load_round_trip(tmp_path):

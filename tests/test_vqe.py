@@ -423,12 +423,15 @@ def test_optimize_validation():
         optimize(p, cvar_cfg=cvar_cfg, schedule=schedule, mode="hard")  # no target
     with pytest.raises(ValueError):
         optimize(p, cvar_cfg=cvar_cfg, schedule=schedule, mode="warm")
-    with pytest.raises(ValueError):
-        optimize(
-            p,
-            cvar_cfg=cvar_cfg,
-            schedule=CorrelationSchedule(counts=(99,), epochs=(5,), rho=(0.4,)),
-        )  # group larger than the slot count
+    # a group larger than the slot count acts as the slot count, in the trace too
+    slots = build_for(DickeSpec(8, 4)).num_params
+    runs = [
+        optimize(p, cvar_cfg=cvar_cfg, seed=1,
+                 schedule=CorrelationSchedule(counts=(c, 1), epochs=(5, 5), rho=(0.4, 0.4)))[2]
+        for c in (99, slots)
+    ]
+    assert [r.beta for r in runs[0]] == [slots] * 5 + [1] * 5
+    assert runs[0] == runs[1]
 
 
 def test_optimize_keeps_the_smallest_of_tied_samples(monkeypatch):
