@@ -43,6 +43,8 @@ from .partition import (
 from .qsim import MAX_PACKED_QUBITS, BasisState
 from .problem import (
     PortfolioProblem,
+    _is_int,
+    _is_real,
     batch_evaluator,
     ingest_csv,
     lift_bits,
@@ -142,15 +144,18 @@ class RunConfig:
         return {name: getattr(self, name) for name in _KNOWN_KEYS if name != "out"}
 
 
-# per problem kind: the keys it requires, then the ones it may also take
-_PROBLEM_KEYS = {
-    "synth-portfolio": (("n", "seed"), ("q", "budget")),
-    "csv-portfolio": (("path",), ("q", "budget")),
-    "portfolio-file": (("path",), ()),
-    "synth-graph": (("n", "p_edge", "seed_graph", "seed_weights"), ("offset", "fixed_top_bit")),
-    "graph-file": (("path",), ()),
+# per problem kind: the keys it requires, the ones it may take, its builder(section, setting)
+_PROBLEMS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable[[dict, Callable], Any]]] = {
+    "synth-portfolio": (("n", "seed"), ("q", "budget"),
+                        lambda p, get: synth_assets(int(p["n"]), int(p["seed"]), q=float(get("q")))),
+    "csv-portfolio": (("path",), ("q", "budget"), lambda p, get: ingest_csv(p["path"], q=float(get("q")))),
+    "portfolio-file": (("path",), (), lambda p, get: load_portfolio(p["path"])),
+    "synth-graph": (("n", "p_edge", "seed_graph", "seed_weights"), ("offset", "fixed_top_bit"),
+                    lambda p, get: synth_graph(int(p["n"]), float(p["p_edge"]), int(p["seed_graph"]),
+                                               int(p["seed_weights"]), offset=float(get("offset")),
+                                               fixed_top_bit=get("fixed_top_bit"))),
+    "graph-file": (("path",), (), lambda p, get: load_graph(p["path"])),
 }
-_PROBLEM_KINDS = tuple(_PROBLEM_KEYS)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -177,14 +182,6 @@ def load_config(path: str | Path) -> RunConfig:
     cfg = RunConfig(**known, source_path=source, raw_text=raw)
     _validate(cfg, doc)
     return cfg
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _is_positive_int(value: Any) -> bool:
@@ -355,9 +352,9 @@ def _validate(cfg: RunConfig, doc: dict[str, Any]) -> None:
     if "kind" not in cfg.problem:
         cfg.fail("problem", "problem section must be an object with a 'kind'")
     kind = cfg.problem["kind"]
-    if kind not in _PROBLEM_KINDS:
-        cfg.fail(("problem", "kind"), f"problem kind {kind!r} not one of {_PROBLEM_KINDS}")
-    needed, optional = _PROBLEM_KEYS[kind]
+    if kind not in _PROBLEMS:
+        cfg.fail(("problem", "kind"), f"problem kind {kind!r} not one of {tuple(_PROBLEMS)}")
+    needed, optional, _ = _PROBLEMS[kind]
     for field_name in needed:
         if field_name not in cfg.problem:
             cfg.fail("problem", f"problem kind {kind!r} requires field {field_name!r}")
@@ -430,23 +427,7 @@ def build_problem(cfg: RunConfig, packed: bool = True):
         if fault and not packed:
             cfg.fail(("problem", "n"), fault)
     try:
-        if kind == "synth-portfolio":
-            prob = synth_assets(int(spec["n"]), int(spec["seed"]), q=float(cfg.setting("problem", "q")))
-        elif kind == "csv-portfolio":
-            prob = ingest_csv(spec["path"], q=float(cfg.setting("problem", "q")))
-        elif kind == "portfolio-file":
-            prob = load_portfolio(spec["path"])
-        elif kind == "synth-graph":
-            prob = synth_graph(
-                int(spec["n"]),
-                float(spec["p_edge"]),
-                int(spec["seed_graph"]),
-                int(spec["seed_weights"]),
-                offset=float(cfg.setting("problem", "offset")),
-                fixed_top_bit=cfg.setting("problem", "fixed_top_bit"),
-            )
-        else:
-            prob = load_graph(spec["path"])
+        prob = _PROBLEMS[kind][2](spec, functools.partial(cfg.setting, "problem"))
     except OSError as exc:
         cfg.fail(("problem", "path"), f"cannot read the instance file: {exc}")
     except ValueError as exc:
@@ -636,8 +617,8 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     refined, refined_energy, trace = locate.greedy_bitstring(
         cost, BasisState(best_bits, spec.n), restarts=2, seed=cfg.seed
     )
-    # the location candidate (energy inf if none) wins only when strictly
-    # lower: on a tie the refined optimizer state stands, even if larger
+    # the location candidate wins only when strictly lower: on a tie the
+    # refined optimizer state stands, even if larger
     if report is not None and report.candidate_energy < refined_energy:
         refined = BasisState(report.candidate_bits, spec.n)
         refined_energy = report.candidate_energy

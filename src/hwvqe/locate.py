@@ -232,7 +232,7 @@ class LocateReport:
 
     spec: DickeSpec
     predicted: SubAnsatzId
-    candidate_bits: Optional[int]
+    candidate_bits: int
     candidate_energy: float
     trail: tuple[tuple[SubAnsatzId, float], ...]
     refinements: tuple[tuple[int, float], ...]
@@ -245,9 +245,7 @@ class LocateReport:
         return {
             "spec": {"n": self.spec.n, "k": self.spec.k},
             "predicted": format_id(self.predicted),
-            "candidate": None
-            if self.candidate_bits is None
-            else {
+            "candidate": {
                 "bits": format(self.candidate_bits, f"0{self.spec.n}b"),
                 "energy": self.candidate_energy,
             },
@@ -320,9 +318,8 @@ class CellCache:
     def evaluations(self) -> int:
         return len(self.trail)
 
-    def best(self) -> tuple[Optional[int], float]:
-        energy, bits = min(((e, b) for b, e in self.results.values() if b is not None),
-                           default=(math.inf, None))
+    def best(self) -> tuple[int, float]:
+        energy, bits = min((e, b) for b, e in self.results.values() if b is not None)
         return bits, energy
 
 
@@ -393,7 +390,7 @@ def _report(
         problem=problem,
         evaluations=cache.evaluations + discarded,
     )
-    if refine and candidate_bits is not None:
+    if refine:
         _refine_report(report, batch_evaluator(problem), seed)
     return report
 

@@ -319,17 +319,6 @@ class FragmentPreparer:
             states |= sector[digit] << shift
         return states
 
-    def sample(
-        self, params: Sequence[float], shots: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``shots`` product outcomes (:meth:`draw`).
-
-        Returns the distinct full-width basis states and their counts, in
-        first-draw order (the order of ``Counter(draws)``).
-        """
-        cells, counts = self.count(self.draw(params, shots, rng))
-        return self.states_of(cells), counts
-
     def probability_of(self, bits: int) -> float:
         """Born probability of a full-width basis state in the last drawn product."""
         mask, fixed = self.fixed
@@ -352,18 +341,17 @@ def run_subansatz(
     params: Sequence[float],
     shots: int,
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> Counter:
     """Sample the product state once: each fragment simulated alone, outcomes concatenated.
 
     ``params`` holds the parameterized fragments' parameters back to back,
     fragment 0 first; fragments of weight 0 or full weight contribute fixed
-    bits and take none. Returns a Counter over full-width basis states.
+    bits and take none. Returns a Counter over full-width basis states, in
+    first-draw order.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    states, counts = FragmentPreparer(sa).sample(params, shots, rng)
-    return Counter(dict(zip(states.tolist(), counts.tolist())))
+    preparer = FragmentPreparer(sa)
+    cells, counts = preparer.count(preparer.draw(params, shots, np.random.default_rng(seed)))
+    return Counter(dict(zip(preparer.states_of(cells).tolist(), counts.tolist())))
 
 
 def entanglement_entropy(a: complex, b: complex) -> float:

@@ -61,6 +61,14 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def min_state(states: np.ndarray, energies: np.ndarray) -> tuple[float, int]:
     """``(energy, bits)`` of a batch's lowest energy, ties to the smaller state.
 
@@ -779,9 +787,17 @@ def load_portfolio(path: str | Path) -> PortfolioProblem:
         raise ValueError(f"{path}: key 'xi' = {xi} outside 0..{n}")
     q, perm = read("q", float), read("permutation", lambda v: tuple(int(i) for i in v), ())
     try:
-        return PortfolioProblem(n=n, q=q, A=A.reshape(n, n), mu=mu, budget=xi, permutation=perm)
+        prob = PortfolioProblem(n=n, q=q, A=A.reshape(n, n), mu=mu, budget=xi, permutation=perm)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    # The conversions above also take bools, floats and numeric strings. Non-finite
+    # values fail above, so a value's type decides its test: test one value per type.
+    for key in ("n", "xi", "permutation", "q", "A", "mu"):
+        test, what = (_is_int, "an integer") if key in ("n", "xi", "permutation") else (_is_real, "a number")
+        per_type = {type(v): v for v in np.ravel(np.array(doc.get(key, []), dtype=object))}
+        if bad := [v for v in per_type.values() if not test(v)]:
+            raise ValueError(f"{path}: key {key!r} holds {bad[0]!r}, not {what}")
+    return prob
 
 
 def save_graph(b: BisectionProblem, path: str | Path) -> None:

@@ -76,24 +76,12 @@ def hamming_weight(bits: int) -> int:
     return int(bits).bit_count()
 
 
-def _popcount_table(bits: int) -> np.ndarray:
-    """Hamming weights of 0 .. 2**bits - 1: each doubling appends the table plus one."""
-    table = np.zeros(1, dtype=np.uint8)
-    for _ in range(bits):
-        table = np.concatenate((table, table + 1))
-    return table
-
-
-_POPCOUNT16 = _popcount_table(16)
+_POPCOUNT16 = np.bitwise_count(np.arange(1 << 16, dtype=np.uint16))  # uint8 Hamming weights
 
 
 def hamming_weight_array(states: np.ndarray) -> np.ndarray:
-    """Hamming weights of an int64 array, via a 16-bit lookup table."""
-    s = np.asarray(states, dtype=np.int64)
-    w = _POPCOUNT16[s & 0xFFFF].astype(np.int64)
-    for shift in (16, 32, 48):
-        w += _POPCOUNT16[(s >> shift) & 0xFFFF]
-    return w
+    """Hamming weights of non-negative int64 states, as int64 (callers subtract from them)."""
+    return np.bitwise_count(np.asarray(states, dtype=np.int64)).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -423,6 +423,17 @@ def _valid_portfolio_doc():
         (lambda doc: {**doc, "q": "high"}, ": key 'q': could not convert string to float: 'high'"),
         (lambda doc: {**doc, "A": [v + 0.01 * (i == 1) for i, v in enumerate(doc["A"])]},
          ": covariance matrix is not symmetric"),
+        # values the conversions take but the format does not: JSON integers for n, xi and
+        # the permutation, JSON numbers for q, A and mu
+        (lambda doc: {**doc, "xi": True}, ": key 'xi' holds True, not an integer"),
+        (lambda doc: {**doc, "xi": 2.9}, ": key 'xi' holds 2.9, not an integer"),
+        (lambda doc: {**doc, "n": 4.6}, ": key 'n' holds 4.6, not an integer"),
+        (lambda doc: {**doc, "q": True}, ": key 'q' holds True, not a number"),
+        (lambda doc: {**doc, "q": "0.9"}, ": key 'q' holds '0.9', not a number"),
+        (lambda doc: {**doc, "permutation": [0.5, 1, 2, 3]}, ": key 'permutation' holds 0.5, not an integer"),
+        (lambda doc: {**doc, "A": [doc["A"][:4], doc["A"][4:8], doc["A"][8:12], [*doc["A"][12:15], "0.1"]]},
+         ": key 'A' holds '0.1', not a number"),
+        (lambda doc: {**doc, "mu": [False, *doc["mu"][1:]]}, ": key 'mu' holds False, not a number"),
     ],
 )
 def test_malformed_portfolio_file_names_the_file_and_key(tmp_path, capsys, edit, message):

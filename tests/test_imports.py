@@ -1,9 +1,13 @@
 """Source hygiene: every imported name in the package and the tests is used,
-every private name the package binds at module level is read somewhere, and
-every name a package module exports exists."""
+every private name the package binds at module level is read somewhere, every
+name a package module exports exists, and every layer the benchmark traces is
+still there to trace."""
 
 import ast
 import importlib
+import importlib.util
+import json
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,3 +110,30 @@ def test_every_exported_name_is_defined():
         exported = vars(module).get("__all__", ())
         stale += [f"{path.relative_to(ROOT)}: {name}" for name in exported if not hasattr(module, name)]
     assert stale == []
+
+
+def _load_tracing(monkeypatch):
+    """``perfbench/tracing.py``, loaded from its file without putting perfbench on the path."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_layer_is_bound(monkeypatch):
+    """Each span the benchmark reports per layer is ``cli`` or wraps a function
+    that exists and that a loaded hwvqe module binds, as ``Tracer.install``
+    requires. A missing one would drop its metrics from the benchmark's result."""
+    importlib.import_module("hwvqe.cli")  # loads every hwvqe module the command uses
+    modules = [m for name, m in sys.modules.items() if name == "hwvqe" or name.startswith("hwvqe.")]
+    bound = {"cli"}
+    for module_name, attr, span, _ in _load_tracing(monkeypatch).BOUNDARIES:
+        if module_name.startswith("hwvqe."):
+            fn = getattr(importlib.import_module(module_name), attr, None)
+            if fn is not None and any(value is fn for m in modules for value in vars(m).values()):
+                bound.add(span)
+    layers = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    spans = sorted({row["name"].rsplit(".", 1)[0] for row in layers})
+    assert len(spans) > 5
+    assert [span for span in spans if span not in bound] == []

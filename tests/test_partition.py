@@ -285,7 +285,8 @@ def test_sample_keeps_counter_first_draw_order(rng, levels):
     sa = SubAnsatzId(DickeSpec(8, 4), levels)
     preparer = FragmentPreparer(sa)
     params = rng.uniform(0.4, 2.7, size=preparer.num_params)
-    states, counts = preparer.sample(params, 300, np.random.default_rng(17))
+    cells, counts = preparer.count(preparer.draw(params, 300, np.random.default_rng(17)))
+    states = preparer.states_of(cells)
 
     stream = np.random.default_rng(17)
     draws = np.zeros(300, dtype=np.int64)

@@ -83,9 +83,13 @@ def test_basis_state_validation_weight_and_text():
 
 def test_hamming_weight_array_matches_bit_count(rng):
     vals = rng.integers(0, 1 << 52, size=500, dtype=np.int64)
-    vals = np.concatenate([vals, [0, 1, (1 << 26) - 1, (1 << 52) - 1]])
+    wide = rng.integers(1 << 52, 1 << 62, size=500, dtype=np.int64)  # up to the 62-qubit packing limit
+    vals = np.concatenate([vals, wide, [0, 1, (1 << 26) - 1, (1 << 52) - 1, (1 << 62) - 1]])
     expected = np.array([int(v).bit_count() for v in vals])
-    assert np.array_equal(hamming_weight_array(vals), expected)
+    weights = hamming_weight_array(vals)
+    assert np.array_equal(weights, expected)
+    # int64, not bitwise_count's uint8: callers subtract a lower weight from these
+    assert weights.dtype == np.int64
 
 
 def test_init_basis_and_range_checks():
